@@ -67,6 +67,8 @@ def j3_operator(p: float, phi: float) -> OperatorMatrix:
     """Hermitian observable sqrt(p(1-p)) (e^(-i phi) J+ + e^(i phi) J-) - (2p-1) J0."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi}")
     ops = hp_operators()
     m = math.sqrt(p * (1.0 - p)) * (
         np.exp(-1j * phi) * ops.plus.matrix + np.exp(1j * phi) * ops.minus.matrix

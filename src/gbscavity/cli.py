@@ -11,6 +11,7 @@ leak, 4 verification failure.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -19,9 +20,9 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .angular import verify_eigenbasis
+from .angular import j3_operator, verify_eigenbasis
 from .constants import ATOL_ALGEBRA, DEFAULT_N_MAX, M2_MAX, M2_MIN
-from .dynamics import OperatorMatrix, TruncationLeakError
+from .dynamics import CouplingSpec, OperatorMatrix, TruncationLeakError
 from .protocol import (
     GT_FIRST,
     ErrorModel,
@@ -43,8 +44,10 @@ EXIT_USAGE = 2
 EXIT_LEAK = 3
 EXIT_VERIFY = 4
 
-_CONFIG_KEYS = ("p", "phi1", "g", "omega", "dt_gap", "n_max", "m2")
-_MODEL_KEYS = ("rel_timing_jitter", "detector_efficiency", "samples", "seed", "jitter_t1")
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(GenerationConfig))
+_MODEL_KEYS = tuple(f.name for f in dataclasses.fields(ErrorModel))
+_SWEEP_CSV_COLUMNS = ("jitter", "delta_exp", "mean_infidelity", "std_infidelity",
+                      "mean_delivered_infidelity", "mean_p2", "samples_used")
 
 
 def _g17(x: float) -> str:
@@ -55,135 +58,115 @@ def _num(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _kv_text(title: str, pairs) -> str:
-    width = max(len(k) for k, _ in pairs)
+def _kv_text(title: str, record: dict) -> str:
+    """Aligned `key  value` lines; numbers at 6 significant digits."""
+    width = max(map(len, record))
     lines = [title]
-    lines += [f"  {k:<{width}}  {v}" for k, v in pairs]
+    lines += [f"  {k:<{width}}  {v if isinstance(v, str) else _num(v)}" for k, v in record.items()]
     return "\n".join(lines) + "\n"
 
 
-def _write_atomic(path: Path, text: str):
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+def _csv(columns, rows) -> str:
+    """CSV of the given columns of row dicts at 17 significant digits (exact
+    for the small integer cells too)."""
+    lines = [",".join(columns)]
+    lines += [",".join(_g17(row[c]) for c in columns) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-def _digest(obj) -> str:
-    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def _deliver(args, command: str, digest_obj, json_obj, human_text: str,
-             csv_text: str | None = None, extra_files: dict | None = None,
-             seed: int | None = None) -> int:
-    if args.format == "json":
-        print(json.dumps(json_obj, indent=2))
-    elif args.format == "csv":
-        if csv_text is None:
-            raise ValueError(f"{command} has no CSV rendering; use json or text")
-        print(csv_text, end="")
-    else:
-        print(human_text, end="")
+def _deliver(args, digest_obj, json_obj, human_text: str, csv_text: str | None = None,
+             extra_files: dict | None = None) -> int:
+    """Render the selected format, write the --out files, then print, so that
+    a format the command lacks fails before any file is written.  The manifest
+    records the seed of the digested configuration, if it has one."""
+    command = args.command
+    report = json.dumps(json_obj, indent=2) + "\n"
+    rendered = {"json": report, "csv": csv_text, "text": human_text}[args.format]
+    if rendered is None:
+        raise ValueError(f"{command} has no CSV rendering; use json or text")
 
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        files = {f"{command.replace('-', '_')}_report.json": json.dumps(json_obj, indent=2) + "\n"}
-        files[f"{command.replace('-', '_')}_summary.txt"] = human_text
+        stem = command.replace("-", "_")
+        files = {f"{stem}_report.json": report, f"{stem}_summary.txt": human_text}
         if csv_text is not None:
-            files[f"{command.replace('-', '_')}.csv"] = csv_text
-        if extra_files:
-            files.update(extra_files)
-        for name, text in files.items():
-            _write_atomic(out / name, text)
+            files[f"{stem}.csv"] = csv_text
+        files.update(extra_files or {})
+        blob = json.dumps(digest_obj, sort_keys=True, separators=(",", ":"))
         manifest = {
             "command": command,
-            "config_digest": _digest(digest_obj),
-            "seed": seed,
+            "config_digest": hashlib.sha256(blob.encode("utf-8")).hexdigest(),
+            "seed": digest_obj.get("seed"),
             "tool_version": __version__,
             "outputs": sorted(files),
         }
-        _write_atomic(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+        files["manifest.json"] = json.dumps(manifest, indent=2) + "\n"
+        for name, text in files.items():  # write, then rename: no half-written files
+            (out / f"{name}.tmp").write_text(text, encoding="utf-8")
+            os.replace(out / f"{name}.tmp", out / name)
+
+    try:
+        print(rendered, end="", flush=True)
+    except BrokenPipeError:
+        # The reader left early (e.g. `| head`), which is not an error.  Point
+        # stdout at devnull so the interpreter's flush at exit cannot fail too.
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
     return EXIT_OK
 
 
-def _load_config_file(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("config must be a JSON object")
-    unknown = set(data) - set(_CONFIG_KEYS) - {"error_model"}
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    model = data.get("error_model", {})
-    if not isinstance(model, dict):
-        raise ValueError("error_model must be a JSON object")
-    unknown = set(model) - set(_MODEL_KEYS)
-    if unknown:
-        raise ValueError(f"unknown error_model keys: {sorted(unknown)}")
-    return data
+def _resolve_config(args):
+    """Generation config and error_model settings: config file, then flags."""
+    data = {}
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
+            data = json.load(fh)
+    model = data.get("error_model", {}) if isinstance(data, dict) else None
+    for what, section, keys in (("config", data, (*_CONFIG_KEYS, "error_model")),
+                                ("error_model", model, _MODEL_KEYS)):
+        if not isinstance(section, dict):
+            raise ValueError(f"{what} must be a JSON object")
+        unknown = set(section) - set(keys)
+        if unknown:
+            raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
 
-
-def _resolve_generation_config(args) -> GenerationConfig:
-    data = _load_config_file(args.config) if args.config else {}
-    merged = {k: data[k] for k in _CONFIG_KEYS if k in data}
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
+    flags = {k: v for k, v in vars(args).items() if v is not None}
+    merged = {k: v for k, v in data.items() if k != "error_model"}
+    merged.update((k, flags[k]) for k in _CONFIG_KEYS if k in flags)
+    model.update((k, flags[k]) for k in _MODEL_KEYS if k in flags)
     if "p" not in merged:
         raise ValueError("p is required (flag --p or config file)")
-    return GenerationConfig(**merged)
-
-
-def _model_section(args) -> dict:
-    data = _load_config_file(args.config) if args.config else {}
-    return data.get("error_model", {})
+    return GenerationConfig(**merged), model
 
 
 def cmd_generate(args) -> int:
-    cfg = _resolve_generation_config(args)
+    cfg, _ = _resolve_config(args)
     gt1 = GT_FIRST if args.gt1 is None else args.gt1
     gt2 = gt_second(cfg.m2) if args.gt2 is None else args.gt2
+    if not (math.isfinite(gt1) and math.isfinite(gt2)):
+        raise ValueError("--gt1 and --gt2 must be finite")
     report = run_generation(cfg, gt1=gt1, gt2=gt2)
 
-    cfg_dict = {
-        "p": cfg.p, "phi1": cfg.phi1, "g": cfg.g, "omega": cfg.omega,
-        "dt_gap": cfg.dt_gap, "n_max": cfg.n_max, "m2": cfg.m2,
-        "gt1": gt1, "gt2": gt2, "units": args.units,
-    }
+    cfg_dict = {**dataclasses.asdict(cfg), "gt1": gt1, "gt2": gt2}
     json_obj = {
         "config": cfg_dict,
         "p2": report.p2,
         "fidelity_to_target": report.fidelity_to_target,
         "infidelity": 1.0 - report.fidelity_to_target,
         "leakage": report.leakage,
-        "target": {"N": report.target.N, "p": report.target.p, "phi": report.target.phi},
+        "target": dataclasses.asdict(report.target),
         "post_selected_field": state_to_dict(report.post_selected_field),
         "joint_before_projection": state_to_dict(report.joint_before_projection),
     }
-    human = _kv_text("generation report", [
-        ("p", _num(cfg.p)),
-        ("phi1", _num(cfg.phi1)),
-        ("phi_effective", _num(cfg.phi_effective)),
-        ("m2", str(cfg.m2)),
-        ("gt1", _num(gt1)),
-        ("gt2", _num(gt2)),
-        ("p2", _num(report.p2)),
-        ("fidelity_to_target", _num(report.fidelity_to_target)),
-        ("infidelity", _num(1.0 - report.fidelity_to_target)),
-        ("leakage", _num(report.leakage)),
-        ("target_phi", _num(report.target.phi)),
-    ])
-    extra = {"post_field.json": json.dumps(state_to_dict(report.post_selected_field), indent=2) + "\n"}
-    return _deliver(args, "generate", cfg_dict, json_obj, human, extra_files=extra)
-
-
-def _parse_gbs_triple(text: str):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"--gbs expects 'N,p,phi', got {text!r}")
-    return GBSParams(int(parts[0]), float(parts[1]), float(parts[2]))
+    human = _kv_text("generation report", {
+        "p": cfg.p, "phi1": cfg.phi1, "phi_effective": cfg.phi_effective, "m2": cfg.m2,
+        "gt1": gt1, "gt2": gt2,
+        **{k: json_obj[k] for k in ("p2", "fidelity_to_target", "infidelity", "leakage")},
+        "target_phi": report.target.phi,
+    })
+    extra = {"post_field.json": json.dumps(json_obj["post_selected_field"], indent=2) + "\n"}
+    return _deliver(args, cfg_dict, json_obj, human, extra_files=extra)
 
 
 def cmd_measure(args) -> int:
@@ -197,9 +180,12 @@ def cmd_measure(args) -> int:
             raise ValueError("--decode-p and --decode-phi are required with --state-file")
         source = {"state_file": args.state_file}
     else:
-        params = _parse_gbs_triple(args.gbs)
+        parts = args.gbs.split(",")
+        if len(parts) != 3:
+            raise ValueError(f"--gbs expects 'N,p,phi', got {args.gbs!r}")
+        params = GBSParams(int(parts[0]), float(parts[1]), float(parts[2]))
         field = make_gbs(params, args.n_max)
-        source = {"gbs": {"N": params.N, "p": params.p, "phi": params.phi}, "n_max": args.n_max}
+        source = {"gbs": dataclasses.asdict(params), "n_max": args.n_max}
     decode_p = args.decode_p if args.decode_p is not None else params.p
     decode_phi = args.decode_phi if args.decode_phi is not None else params.phi
 
@@ -214,32 +200,21 @@ def cmd_measure(args) -> int:
         "post_field_up": state_to_dict(report.post_field_up),
         "post_field_down": state_to_dict(report.post_field_down),
     }
-    human = _kv_text("measurement report", [
-        ("decode_p", _num(decode_p)),
-        ("decode_phi", _num(decode_phi)),
-        ("prob_up", _num(report.prob_up)),
-        ("prob_down", _num(report.prob_down)),
-    ])
-    return _deliver(args, "measure", digest_obj, json_obj, human)
-
-
-def _window_to_m2(gt_min: float, gt_max: float):
-    if not (gt_min > 0.0 and gt_max >= gt_min):
-        raise ValueError("need 0 < gt-min <= gt-max")
-    # Window edges map to the nearest admissible index gT2 = pi/4 + 2 pi m2.
-    lo = round((gt_min - math.pi / 4.0) / (2.0 * math.pi))
-    hi = round((gt_max - math.pi / 4.0) / (2.0 * math.pi))
-    lo, hi = max(lo, M2_MIN), hi
-    if lo > hi or hi > M2_MAX:
-        raise ValueError(
-            f"window [{gt_min}, {gt_max}] maps to m2 [{lo}, {hi}], "
-            f"outside the admissible [{M2_MIN}, {M2_MAX}]"
-        )
-    return lo, hi
+    human = _kv_text("measurement report", {
+        k: json_obj[k] for k in ("decode_p", "decode_phi", "prob_up", "prob_down")
+    })
+    return _deliver(args, digest_obj, json_obj, human)
 
 
 def cmd_optimize_timing(args) -> int:
-    lo, hi = _window_to_m2(args.gt_min, args.gt_max)
+    inside = [m2 for m2 in range(M2_MIN, M2_MAX + 1)
+              if args.gt_min <= gt_second(m2) <= args.gt_max]
+    if not inside:
+        raise ValueError(
+            f"window [{args.gt_min}, {args.gt_max}] holds no admissible "
+            f"g*T2 = pi/4 + 2 pi m2 with m2 in [{M2_MIN}, {M2_MAX}]"
+        )
+    lo, hi = inside[0], inside[-1]
     rows = scan_t2(lo, hi)
     winner = optimize_t2(lo, hi)
 
@@ -254,21 +229,15 @@ def cmd_optimize_timing(args) -> int:
         "winner": {"m2": winner.m2, "gt2": winner.gt2, "delta": winner.delta,
                    "residual_first": winner.residual_first},
     }
-    csv_lines = ["m2,gt2,sin_g_sqrt2_t2,delta"]
-    csv_lines += [
-        f"{r.m2},{_g17(r.gt2)},{_g17(1.0 - r.delta)},{_g17(r.delta)}" for r in rows
-    ]
-    csv_text = "\n".join(csv_lines) + "\n"
     lines = ["timing scan", f"  {'m2':>3} {'gt2':>12} {'delta':>12}"]
     lines += [f"  {r.m2:>3} {r.gt2:>12.6g} {r.delta:>12.6g}" for r in rows]
     lines.append(f"winner: m2={winner.m2} gt2={_num(winner.gt2)} delta={_num(winner.delta)}")
     human = "\n".join(lines) + "\n"
-    return _deliver(args, "optimize-timing", digest_obj, json_obj, human, csv_text=csv_text)
+    return _deliver(args, digest_obj, json_obj, human, _csv(tuple(row_dicts[0]), row_dicts))
 
 
 def cmd_error_sweep(args) -> int:
-    cfg = _resolve_generation_config(args)
-    model_cfg = _model_section(args)
+    cfg, model_cfg = _resolve_config(args)
 
     if args.jitter is not None:
         jitters = [float(s) for s in args.jitter.split(",") if s.strip()]
@@ -278,21 +247,22 @@ def cmd_error_sweep(args) -> int:
         jitters = [1e-2]
     if not jitters:
         raise ValueError("--jitter lists no values")
-    samples = args.samples if args.samples is not None else int(model_cfg.get("samples", 10000))
-    if samples < 100:
+    # samples and seed go to ErrorModel unconverted: its integer checks reject
+    # 4.5 or 1e400 instead of truncating or overflowing them here.
+    model_dict = {
+        "samples": model_cfg.get("samples", 10000),
+        "seed": model_cfg.get("seed", 0),
+        "detector_efficiency": float(model_cfg.get("detector_efficiency", 1.0)),
+        "jitter_t1": bool(model_cfg.get("jitter_t1", True)) and not args.no_t1_jitter,
+    }
+    if model_dict["samples"] < 100:
         raise ValueError("error sweeps need at least 100 samples")
-    seed = args.seed if args.seed is not None else int(model_cfg.get("seed", 0))
-    efficiency = (args.detector_efficiency if args.detector_efficiency is not None
-                  else float(model_cfg.get("detector_efficiency", 1.0)))
-    jitter_t1 = bool(model_cfg.get("jitter_t1", True)) and not args.no_t1_jitter
 
     gt2 = gt_second(cfg.m2)
     rows = []
     extra_files = {}
     for jit in jitters:
-        model = ErrorModel(rel_timing_jitter=jit, detector_efficiency=efficiency,
-                           samples=samples, seed=seed, jitter_t1=jitter_t1)
-        rpt = monte_carlo_jitter(cfg, model)
+        rpt = monte_carlo_jitter(cfg, ErrorModel(rel_timing_jitter=jit, **model_dict))
         rows.append({
             "jitter": jit,
             "delta_exp": delta_exp(gt2, jit),
@@ -312,24 +282,8 @@ def cmd_error_sweep(args) -> int:
         ]
         extra_files[f"mc_samples_j{jit:g}.csv"] = "\n".join(sample_lines) + "\n"
 
-    digest_obj = {
-        "config": {k: getattr(cfg, k) for k in _CONFIG_KEYS},
-        "jitters": jitters, "samples": samples, "seed": seed,
-        "detector_efficiency": efficiency, "jitter_t1": jitter_t1,
-    }
-    json_obj = {"config": digest_obj["config"], "model": {
-        "samples": samples, "seed": seed,
-        "detector_efficiency": efficiency, "jitter_t1": jitter_t1,
-    }, "rows": rows}
-    csv_lines = ["jitter,delta_exp,mean_infidelity,std_infidelity,"
-                 "mean_delivered_infidelity,mean_p2,samples_used"]
-    csv_lines += [
-        f"{_g17(r['jitter'])},{_g17(r['delta_exp'])},{_g17(r['mean_infidelity'])},"
-        f"{_g17(r['std_infidelity'])},{_g17(r['mean_delivered_infidelity'])},"
-        f"{_g17(r['mean_p2'])},{r['samples_used']}"
-        for r in rows
-    ]
-    csv_text = "\n".join(csv_lines) + "\n"
+    digest_obj = {"config": dataclasses.asdict(cfg), "jitters": jitters, **model_dict}
+    json_obj = {"config": digest_obj["config"], "model": model_dict, "rows": rows}
     lines = ["error sweep",
              f"  {'jitter':>10} {'delta_exp':>12} {'mean_infid':>12} {'std_infid':>12}"
              f" {'delivered':>12} {'mean_p2':>10} {'used':>6}"]
@@ -340,19 +294,13 @@ def cmd_error_sweep(args) -> int:
         for r in rows
     ]
     human = "\n".join(lines) + "\n"
-    return _deliver(args, "error-sweep", digest_obj, json_obj, human,
-                    csv_text=csv_text, extra_files=extra_files, seed=seed)
+    return _deliver(args, digest_obj, json_obj, human, _csv(_SWEEP_CSV_COLUMNS, rows), extra_files)
 
 
 def cmd_verify_basis(args) -> int:
-    operator = None
-    if args.perturb:
-        from .angular import j3_operator  # test hook: nudge one matrix element
-
-        matrix = j3_operator(args.p, args.phi).matrix.copy()
-        matrix[0, 0] += args.perturb
-        operator = OperatorMatrix(matrix, "field")
-    report = verify_eigenbasis(args.p, args.phi, operator=operator)
+    matrix = j3_operator(args.p, args.phi).matrix.copy()
+    matrix[0, 0] += args.perturb  # test hook: nudge one matrix element
+    report = verify_eigenbasis(args.p, args.phi, operator=OperatorMatrix(matrix, "field"))
     ok = report.max_residual < ATOL_ALGEBRA
 
     digest_obj = {"p": args.p, "phi": args.phi, "perturb": args.perturb}
@@ -363,31 +311,26 @@ def cmd_verify_basis(args) -> int:
         "max_residual": report.max_residual,
         "pass": ok,
     }
-    pairs = [
-        ("residual at +1", _num(report.residuals[0])),
-        ("residual at  0", _num(report.residuals[1])),
-        ("residual at -1", _num(report.residuals[2])),
-        ("spectrum", ", ".join(_num(v) for v in report.eigenvalues)),
-        ("verdict", "PASS" if ok else "FAIL"),
-    ]
-    human = _kv_text(f"eigenbasis check at p={_num(args.p)} phi={_num(args.phi)}", pairs)
-    code = _deliver(args, "verify-basis", digest_obj, json_obj, human)
+    human = _kv_text(f"eigenbasis check at p={_num(args.p)} phi={_num(args.phi)}", {
+        "residual at +1": report.residuals[0],
+        "residual at  0": report.residuals[1],
+        "residual at -1": report.residuals[2],
+        "spectrum": ", ".join(_num(v) for v in report.eigenvalues),
+        "verdict": "PASS" if ok else "FAIL",
+    })
+    code = _deliver(args, digest_obj, json_obj, human)
     return code if ok else EXIT_VERIFY
 
 
 def cmd_j3_spectrum(args) -> int:
     report = verify_eigenbasis(args.p, args.phi)
     digest_obj = {"p": args.p, "phi": args.phi}
-    json_obj = {
-        "p": args.p, "phi": args.phi,
-        "eigenvalues": list(report.eigenvalues),
-        "residuals": list(report.residuals),
-    }
-    human = _kv_text(f"spectrum at p={_num(args.p)} phi={_num(args.phi)}", [
-        ("eigenvalues", ", ".join(_num(v) for v in report.eigenvalues)),
-        ("residuals", ", ".join(_num(v) for v in report.residuals)),
-    ])
-    return _deliver(args, "j3-spectrum", digest_obj, json_obj, human)
+    json_obj = {**digest_obj, "eigenvalues": list(report.eigenvalues),
+                "residuals": list(report.residuals)}
+    human = _kv_text(f"spectrum at p={_num(args.p)} phi={_num(args.phi)}", {
+        k: ", ".join(_num(v) for v in json_obj[k]) for k in ("eigenvalues", "residuals")
+    })
+    return _deliver(args, digest_obj, json_obj, human)
 
 
 def cmd_feasibility(args) -> int:
@@ -400,7 +343,8 @@ def cmd_feasibility(args) -> int:
         sequence = args.sequence_duration
     else:
         # SI derivation from the coupling: nominal transit times of the pipeline.
-        times = (GT_FIRST / args.g, gt_second(args.m2) / args.g)
+        g = CouplingSpec(args.g).g
+        times = (GT_FIRST / g, gt_second(args.m2) / g)
         gap = args.dt_gap or 0.0
         sequence = (args.sequence_duration if args.sequence_duration is not None
                     else times[0] + gap + times[1])
@@ -412,22 +356,32 @@ def cmd_feasibility(args) -> int:
                   "interaction_times": list(inp.interaction_times),
                   "sequence_duration": inp.sequence_duration}
     json_obj = {"inputs": digest_obj, "pass": report.passed, "margins": report.margins}
-    pairs = [("tau_at", _num(inp.tau_at)), ("tau_cav", _num(inp.tau_cav))]
-    pairs += [(k, _num(v)) for k, v in report.margins.items()]
-    pairs.append(("verdict", "PASS" if report.passed else "FAIL"))
-    human = _kv_text("coherence budget (margins are lifetime/duration)", pairs)
-    return _deliver(args, "feasibility", digest_obj, json_obj, human)
+    human = _kv_text("coherence budget (margins are lifetime/duration)", {
+        "tau_at": inp.tau_at, "tau_cav": inp.tau_cav, **report.margins,
+        "verdict": "PASS" if report.passed else "FAIL",
+    })
+    return _deliver(args, digest_obj, json_obj, human)
 
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file")
     common.add_argument("--out", help="directory for reports and the run manifest")
-    common.add_argument("--seed", type=int, help="Monte Carlo seed override")
-    common.add_argument("--units", choices=("gt", "si"), default="gt",
-                        help="time bookkeeping: dimensionless g*t or SI seconds")
     common.add_argument("--format", choices=("json", "csv", "text"), default="text",
                         help="stdout rendering")
+
+    pipeline = argparse.ArgumentParser(add_help=False)
+    pipeline.add_argument("--config", help="JSON config file")
+    pipeline.add_argument("--p", type=float, help="excited-state weight of the atomic preparation")
+    pipeline.add_argument("--phi1", type=float, help="preparation phase of atom 1")
+    pipeline.add_argument("--g", type=float, help="vacuum Rabi coupling")
+    pipeline.add_argument("--omega", type=float, help="bare cavity frequency")
+    pipeline.add_argument("--dt-gap", type=float, help="free evolution time between the atoms")
+    pipeline.add_argument("--n-max", type=int, help="Fock truncation")
+    pipeline.add_argument("--m2", type=int, help=f"timing index in [{M2_MIN}, {M2_MAX}]")
+
+    point = argparse.ArgumentParser(add_help=False)
+    point.add_argument("--p", type=float, required=True)
+    point.add_argument("--phi", type=float, default=0.0)
 
     parser = argparse.ArgumentParser(
         prog="gbscavity",
@@ -436,84 +390,57 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("generate", parents=[common],
-                         help="run the two-atom generation pipeline")
-    gen.add_argument("--p", type=float, help="excited-state weight of the atomic preparation")
-    gen.add_argument("--phi1", type=float, help="preparation phase of atom 1")
-    gen.add_argument("--g", type=float, help="vacuum Rabi coupling")
-    gen.add_argument("--omega", type=float, help="bare cavity frequency")
-    gen.add_argument("--dt-gap", dest="dt_gap", type=float,
-                     help="free evolution time between the atoms")
-    gen.add_argument("--n-max", dest="n_max", type=int, help="Fock truncation")
-    gen.add_argument("--m2", type=int, help=f"timing index in [{M2_MIN}, {M2_MAX}]")
+    def add(name, func, help, *parents):
+        cmd = sub.add_parser(name, parents=[common, *parents], help=help)
+        cmd.set_defaults(func=func)
+        return cmd
+
+    gen = add("generate", cmd_generate, "run the two-atom generation pipeline", pipeline)
     gen.add_argument("--gt1", type=float, help="manual first transit g*t")
     gen.add_argument("--gt2", type=float, help="manual second transit g*t")
-    gen.set_defaults(func=cmd_generate)
 
-    mea = sub.add_parser("measure", parents=[common],
-                         help="probe a field state and decode the probe")
+    mea = add("measure", cmd_measure, "probe a field state and decode the probe")
     mea.add_argument("--gbs", help="input binomial state as 'N,p,phi'")
-    mea.add_argument("--state-file", dest="state_file", help="serialized field state (JSON)")
-    mea.add_argument("--n-max", dest="n_max", type=int, default=DEFAULT_N_MAX,
+    mea.add_argument("--state-file", help="serialized field state (JSON)")
+    mea.add_argument("--n-max", type=int, default=DEFAULT_N_MAX,
                      help="Fock truncation when building from --gbs")
-    mea.add_argument("--decode-p", dest="decode_p", type=float,
+    mea.add_argument("--decode-p", type=float,
                      help="decoding zone weight (defaults to the --gbs p)")
-    mea.add_argument("--decode-phi", dest="decode_phi", type=float,
+    mea.add_argument("--decode-phi", type=float,
                      help="decoding zone phase (defaults to the --gbs phi)")
-    mea.set_defaults(func=cmd_measure)
 
-    opt = sub.add_parser("optimize-timing", parents=[common],
-                         help="scan the admissible second interaction times")
-    opt.add_argument("--gt-min", dest="gt_min", type=float, default=0.1,
-                     help="shortest admissible g*T")
-    opt.add_argument("--gt-max", dest="gt_max", type=float, default=100.0,
+    opt = add("optimize-timing", cmd_optimize_timing,
+              "scan the admissible second interaction times")
+    opt.add_argument("--gt-min", type=float, default=0.1, help="shortest admissible g*T")
+    opt.add_argument("--gt-max", type=float, default=gt_second(M2_MAX),
                      help="longest admissible g*T")
-    opt.set_defaults(func=cmd_optimize_timing)
 
-    err = sub.add_parser("error-sweep", parents=[common],
-                         help="Monte Carlo timing-jitter sweep")
-    err.add_argument("--p", type=float, help="excited-state weight")
-    err.add_argument("--phi1", type=float)
-    err.add_argument("--g", type=float)
-    err.add_argument("--omega", type=float)
-    err.add_argument("--dt-gap", dest="dt_gap", type=float)
-    err.add_argument("--n-max", dest="n_max", type=int)
-    err.add_argument("--m2", type=int)
+    err = add("error-sweep", cmd_error_sweep, "Monte Carlo timing-jitter sweep", pipeline)
     err.add_argument("--jitter", help="comma-separated relative jitters, e.g. '1e-2,1e-3'")
     err.add_argument("--samples", type=int, help="Monte Carlo samples (at least 100)")
-    err.add_argument("--detector-efficiency", dest="detector_efficiency", type=float,
+    err.add_argument("--seed", type=int, help="Monte Carlo seed")
+    err.add_argument("--detector-efficiency", type=float,
                      help="Bernoulli thinning of detected samples")
-    err.add_argument("--no-t1-jitter", dest="no_t1_jitter", action="store_true",
-                     help="perturb only the second transit")
-    err.set_defaults(func=cmd_error_sweep)
+    err.add_argument("--no-t1-jitter", action="store_true", help="perturb only the second transit")
 
-    ver = sub.add_parser("verify-basis", parents=[common],
-                         help="check the pseudo-angular-momentum eigenbasis")
-    ver.add_argument("--p", type=float, required=True)
-    ver.add_argument("--phi", type=float, default=0.0)
+    ver = add("verify-basis", cmd_verify_basis,
+              "check the pseudo-angular-momentum eigenbasis", point)
     ver.add_argument("--perturb", type=float, default=0.0, help=argparse.SUPPRESS)
-    ver.set_defaults(func=cmd_verify_basis)
 
-    spectrum = sub.add_parser("j3-spectrum", parents=[common],
-                              help="spectrum of the pseudo angular momentum")
-    spectrum.add_argument("--p", type=float, required=True)
-    spectrum.add_argument("--phi", type=float, default=0.0)
-    spectrum.set_defaults(func=cmd_j3_spectrum)
+    add("j3-spectrum", cmd_j3_spectrum, "spectrum of the pseudo angular momentum", point)
 
-    fea = sub.add_parser("feasibility", parents=[common],
-                         help="coherence budget against atomic and cavity lifetimes")
-    fea.add_argument("--tau-at", dest="tau_at", type=float, required=True,
-                     help="atomic lifetime (s)")
-    fea.add_argument("--tau-cav", dest="tau_cav", type=float, required=True,
-                     help="cavity lifetime (s)")
-    fea.add_argument("--interaction-times", dest="interaction_times",
-                     help="comma-separated transit durations (s)")
-    fea.add_argument("--sequence-duration", dest="sequence_duration", type=float,
-                     help="total protocol duration (s)")
+    fea = add("feasibility", cmd_feasibility,
+              "coherence budget against atomic and cavity lifetimes")
+    fea.add_argument("--units", choices=("si",), default="si",
+                     help="time unit of every input: SI seconds")
+    fea.add_argument("--tau-at", type=float, required=True, help="atomic lifetime (s)")
+    fea.add_argument("--tau-cav", type=float, required=True, help="cavity lifetime (s)")
+    fea.add_argument("--interaction-times", help="comma-separated transit durations (s)")
+    fea.add_argument("--sequence-duration", type=float, help="total protocol duration (s)")
     fea.add_argument("--g", type=float, help="derive transit times from the coupling (rad/s)")
-    fea.add_argument("--dt-gap", dest="dt_gap", type=float, help="gap between atoms (s)")
-    fea.add_argument("--m2", type=int, default=5, help="timing index for the derived T2")
-    fea.set_defaults(func=cmd_feasibility)
+    fea.add_argument("--dt-gap", type=float, help="gap between atoms (s)")
+    fea.add_argument("--m2", type=int, default=5, choices=range(M2_MIN, M2_MAX + 1),
+                     metavar="M2", help="timing index for the derived T2")
 
     return parser
 
@@ -522,12 +449,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TruncationLeakError as exc:
+    except (TruncationLeakError, ValueError, TypeError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LEAK
-    except (ValueError, TypeError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_LEAK if isinstance(exc, TruncationLeakError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

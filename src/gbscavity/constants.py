@@ -13,7 +13,7 @@ DEFAULT_N_MAX = 4
 # Photon number above which the protocol must leave no population.
 FIELD_OCCUPANCY_CUTOFF = 2
 
-# Admissible window for the second-interaction timing index m2
-# (interaction times confined to 1e-1 <= g*T <= 1e2).
+# Admissible window for the second-interaction timing index m2; the second
+# transit g*T2 = pi/4 + 2 pi m2 then runs from about 0.785 to 101.3.
 M2_MIN = 0
 M2_MAX = 16

@@ -41,16 +41,13 @@ class TruncationLeakError(RuntimeError):
 
 @dataclass(frozen=True)
 class CouplingSpec:
-    """Atom-cavity coupling g and bare mode frequency omega (rad/s)."""
+    """Atom-cavity coupling g (rad/s), positive and finite."""
 
     g: float
-    omega: float = 0.0
 
     def __post_init__(self):
         if not (math.isfinite(self.g) and self.g > 0.0):
             raise ValueError(f"coupling g must be positive, got {self.g}")
-        if not (math.isfinite(self.omega) and self.omega >= 0.0):
-            raise ValueError(f"omega must be non-negative, got {self.omega}")
 
 
 @dataclass(frozen=True)
@@ -108,10 +105,8 @@ def jc_closed_form(joint: JointState, g: float, t: float) -> JointState:
     return JointState(np.concatenate([out_down, out_up]), joint.n_max)
 
 
-def jc_hamiltonian(n_max: int, spec: CouplingSpec, frame: str = "interaction") -> OperatorMatrix:
+def jc_hamiltonian(n_max: int, spec: CouplingSpec) -> OperatorMatrix:
     """Interaction-picture generator i g (sigma+ a - sigma- a†) on the joint basis."""
-    if frame != "interaction":
-        raise ValueError(f"unsupported frame {frame!r}")
     if n_max < 1:
         raise ValueError("jc_hamiltonian needs n_max >= 1")
     d = n_max + 1
@@ -171,6 +166,8 @@ def ramsey_decode_matrix(p: float, phi: float) -> np.ndarray:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi}")
     sp = math.sqrt(p)
     sq = math.sqrt(1.0 - p)
     return np.array(

@@ -87,8 +87,6 @@ class GenerationConfig:
     p and phi1 parametrize the atomic superpositions, g is the vacuum Rabi
     coupling, omega the bare cavity frequency, dt_gap the free-flight time
     between the two atoms, and m2 the second-interaction timing index.
-    With --units gt semantics, set g = 1 and read omega*dt_gap as a single
-    dimensionless phase.
     """
 
     p: float
@@ -108,7 +106,7 @@ class GenerationConfig:
             raise ValueError(f"m2 must be an integer in [{M2_MIN}, {M2_MAX}]")
         if not isinstance(self.n_max, int) or self.n_max < 0:
             raise ValueError("n_max must be a non-negative integer")
-        for name in ("phi1", "omega", "dt_gap"):
+        for name in ("phi1", "omega", "dt_gap", "phi_effective"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 

@@ -252,7 +252,7 @@ def state_from_dict(data: dict):
     basis = data["basis"]
     amps = [complex(re, im) for re, im in data["amps"]]
     if basis == "field":
-        return FieldState(amps, int(data["n_max"]))
+        return FieldState(amps, data["n_max"])
     if basis == "joint-atom-major":
-        return JointState(amps, int(data["n_max"]))
+        return JointState(amps, data["n_max"])
     raise ValueError(f"unknown basis label {basis!r}")

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gbscavity
 from gbscavity.cli import main
 
 
@@ -110,6 +115,11 @@ def test_measure_input_errors(tmp_path):
     state.write_text(json.dumps({"n_max": 4, "basis": "field",
                                  "amps": [[1.0, 0.0]] + [[0.0, 0.0]] * 4}))
     assert main(["measure", "--state-file", str(state)]) == 2  # decode params missing
+    amps = json.dumps([[1.0, 0.0]] + [[0.0, 0.0]] * 4)
+    for n_max in ("1e400", "4.5"):  # no overflow, no silent truncation to 4
+        state.write_text(f'{{"n_max": {n_max}, "basis": "field", "amps": {amps}}}')
+        assert main(["measure", "--state-file", str(state),
+                     "--decode-p", "0.5", "--decode-phi", "0"]) == 2
     assert main(["measure", "--gbs", "2,0.3"]) == 2
 
 
@@ -140,6 +150,19 @@ def test_optimize_timing_defaults(tmp_path, capsys):
 def test_optimize_timing_window_errors():
     assert main(["optimize-timing", "--gt-min", "200", "--gt-max", "300"]) == 2
     assert main(["optimize-timing", "--gt-min", "5", "--gt-max", "2"]) == 2
+    # g*T2 = 0.785, 7.07, ...: no admissible time lies inside [3, 4]
+    assert main(["optimize-timing", "--gt-min", "3", "--gt-max", "4"]) == 2
+
+
+def test_optimize_timing_window_holds_only_times_inside(capsys):
+    code, report = run_json(capsys, ["optimize-timing", "--gt-min", "0.5", "--gt-max", "8"])
+    assert code == 0
+    assert [row["m2"] for row in report["rows"]] == [0, 1]
+    assert (report["window"]["m2_min"], report["window"]["m2_max"]) == (0, 1)
+
+    code, report = run_json(capsys, ["optimize-timing", "--gt-max", "inf"])
+    assert code == 0
+    assert [row["m2"] for row in report["rows"]] == list(range(17))
 
 
 # -------------------------------------------------------------- error-sweep
@@ -260,6 +283,10 @@ def test_feasibility_input_errors():
                  "--g", "1000", "--interaction-times", "1e-4"]) == 2
     assert main(["feasibility", "--tau-at", "1", "--tau-cav", "1",
                  "--interaction-times", "1e-4"]) == 2  # no duration
+    assert main(["feasibility", "--tau-at", "1", "--tau-cav", "1", "--g", "0"]) == 2
+    with pytest.raises(SystemExit) as err:
+        main(["feasibility", "--tau-at", "1", "--tau-cav", "1", "--g", "1000", "--m2", "99"])
+    assert err.value.code == 2
 
 
 # ------------------------------------------------------------------- parser
@@ -269,3 +296,16 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 2
+
+
+def test_closed_stdout_pipe_is_quiet():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before anything is written
+    env = {**os.environ, "PYTHONPATH": str(Path(gbscavity.__file__).parents[1])}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "gbscavity.cli", "optimize-timing"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
