@@ -7,102 +7,15 @@ pair, interaction-time optimization, a timing-jitter error model, and the
 su(2) eigenbasis structure carried by the lowest three photon levels.
 """
 
-from .angular import (
-    EigenbasisReport,
-    LadderTriple,
-    Spin1Triple,
-    hp_operators,
-    j3_operator,
-    spin1_triple,
-    verify_eigenbasis,
-)
-from .constants import (
-    ATOL_ALGEBRA,
-    ATOL_DYNAMICS,
-    DEFAULT_N_MAX,
-    FIELD_OCCUPANCY_CUTOFF,
-    M2_MAX,
-    M2_MIN,
-)
-from .dynamics import (
-    CouplingSpec,
-    OperatorMatrix,
-    TruncationLeakError,
-    excitation_operator,
-    free_field_evolve,
-    jc_closed_form,
-    jc_expm_evolve,
-    jc_hamiltonian,
-    operator_to_dict,
-    ramsey_decode,
-    ramsey_decode_matrix,
-    ramsey_prepare,
-)
-from .protocol import (
-    GT_FIRST,
-    GT_PROBE,
-    DistinguishResult,
-    ErrorModel,
-    FeasibilityInput,
-    FeasibilityReport,
-    GenerationConfig,
-    GenerationReport,
-    JitterReport,
-    JitterSample,
-    MeasurementReport,
-    TimingResult,
-    delta_exp,
-    distinguish_orthogonal,
-    feasibility_check,
-    gt_second,
-    monte_carlo_jitter,
-    optimize_t2,
-    predicted_psi2,
-    run_generation,
-    run_measurement,
-    scan_t2,
-)
-from .states import (
-    AtomState,
-    FieldState,
-    GBSParams,
-    JointState,
-    fidelity,
-    gauge_fix,
-    inner,
-    make_fock,
-    make_gamma,
-    make_gbs,
-    project_atom,
-    state_from_dict,
-    state_to_dict,
-    tensor,
-)
+# Each layer's __all__ is its public API; the package re-exports all of them.
+from . import angular, constants, dynamics, protocol, states
+from .angular import *
+from .constants import *
+from .dynamics import *
+from .protocol import *
+from .states import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # constants
-    "ATOL_ALGEBRA", "ATOL_DYNAMICS", "DEFAULT_N_MAX", "FIELD_OCCUPANCY_CUTOFF",
-    "M2_MIN", "M2_MAX",
-    # states
-    "FieldState", "AtomState", "JointState", "GBSParams",
-    "make_fock", "make_gbs", "make_gamma", "inner", "fidelity", "tensor",
-    "project_atom", "gauge_fix", "state_to_dict", "state_from_dict",
-    # dynamics
-    "TruncationLeakError", "CouplingSpec", "OperatorMatrix",
-    "jc_closed_form", "jc_hamiltonian", "jc_expm_evolve", "free_field_evolve",
-    "ramsey_prepare", "ramsey_decode", "ramsey_decode_matrix",
-    "excitation_operator", "operator_to_dict",
-    # protocol
-    "GT_FIRST", "GT_PROBE", "GenerationConfig", "GenerationReport",
-    "TimingResult", "MeasurementReport", "DistinguishResult", "ErrorModel",
-    "JitterSample", "JitterReport", "FeasibilityInput", "FeasibilityReport",
-    "gt_second", "scan_t2", "optimize_t2", "run_generation", "predicted_psi2",
-    "run_measurement", "distinguish_orthogonal", "delta_exp",
-    "monte_carlo_jitter", "feasibility_check",
-    # angular momentum
-    "LadderTriple", "Spin1Triple", "EigenbasisReport",
-    "hp_operators", "j3_operator", "spin1_triple", "verify_eigenbasis",
-]
+__all__ = ["__version__", *constants.__all__, *states.__all__, *dynamics.__all__,
+           *protocol.__all__, *angular.__all__]

@@ -276,9 +276,8 @@ def cmd_error_sweep(args) -> int:
         })
         sample_lines = ["sample,eps_t1,eps_t2,fidelity,p2,detected"]
         sample_lines += [
-            f"{s.index},{_g17(s.eps_t1)},{_g17(s.eps_t2)},{_g17(s.fidelity)},"
-            f"{_g17(s.p2)},{int(s.detected)}"
-            for s in rpt.samples
+            f"{i},{_g17(e1)},{_g17(e2)},{_g17(f)},{_g17(p2)},{int(d)}"
+            for i, e1, e2, f, p2, d in rpt.samples.tolist()
         ]
         extra_files[f"mc_samples_j{jit:g}.csv"] = "\n".join(sample_lines) + "\n"
 

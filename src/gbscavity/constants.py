@@ -1,5 +1,8 @@
 """Shared numerical policy constants."""
 
+__all__ = ["ATOL_ALGEBRA", "ATOL_DYNAMICS", "DEFAULT_N_MAX", "FIELD_OCCUPANCY_CUTOFF",
+           "M2_MIN", "M2_MAX"]
+
 # Algebraic identities: normalization, orthogonality, Born-rule completeness.
 ATOL_ALGEBRA = 1e-12
 

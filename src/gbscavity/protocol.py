@@ -51,7 +51,6 @@ __all__ = [
     "MeasurementReport",
     "DistinguishResult",
     "ErrorModel",
-    "JitterSample",
     "JitterReport",
     "FeasibilityInput",
     "FeasibilityReport",
@@ -59,6 +58,7 @@ __all__ = [
     "scan_t2",
     "optimize_t2",
     "run_generation",
+    "generation_batch",
     "predicted_psi2",
     "run_measurement",
     "distinguish_orthogonal",
@@ -109,6 +109,12 @@ class GenerationConfig:
         for name in ("phi1", "omega", "dt_gap", "phi_effective"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        try:  # the largest free-field phase, computed as free_field_evolve does
+            top_phase = self.n_max * self.omega * self.dt_gap
+        except OverflowError:  # an integer n_max beyond the float range
+            top_phase = math.inf
+        if not math.isfinite(top_phase):
+            raise ValueError("the free-field phase n_max*omega*dt_gap must be finite")
 
     @property
     def phi_effective(self) -> float:
@@ -201,25 +207,19 @@ class ErrorModel:
 
 
 @dataclass(frozen=True)
-class JitterSample:
-    index: int
-    eps_t1: float
-    eps_t2: float
-    fidelity: float
-    p2: float
-    detected: bool
-
-
-@dataclass(frozen=True)
 class JitterReport:
-    """Distribution of fidelity and success probability under timing jitter."""
+    """Distribution of fidelity and success probability under timing jitter.
+
+    samples is a read-only record array, one record per sample, with the
+    columns index, eps_t1, eps_t2, fidelity, p2 and detected.
+    """
 
     mean_fidelity: float
     std_fidelity: float
     mean_p2: float
     quantiles: dict
     samples_used: int
-    samples: tuple
+    samples: np.recarray
 
     @property
     def mean_delivered_infidelity(self) -> float:
@@ -230,8 +230,8 @@ class JitterReport:
         jitter penalty is also quantified on the delivered state, weighting
         each sample by its post-selection success.
         """
-        kept = [1.0 - s.p2 * s.fidelity for s in self.samples if s.detected]
-        return float(np.mean(kept)) if kept else float("nan")
+        kept = self.samples[self.samples.detected]
+        return float(np.mean(1.0 - kept.p2 * kept.fidelity)) if kept.size else float("nan")
 
 
 @dataclass(frozen=True)
@@ -325,6 +325,46 @@ def run_generation(config: GenerationConfig, *, gt1: float | None = None,
         joint_before_projection=joint2,
         leakage=leakage,
     )
+
+
+def generation_batch(config: GenerationConfig, gt1, gt2):
+    """run_generation over arrays of g*t overrides; returns (p2, fidelity).
+
+    The same transition rules and checks on the {|0>, |1>, |2>} block, which
+    holds every amplitude the pipeline reaches, so the only truncation left
+    to check is |up, n_max> at n_max < 2.  One failing point fails the batch.
+    """
+    g, n_max, root_p = config.g, config.n_max, math.sqrt(config.p)
+    theta1 = g * (np.asarray(gt1, dtype=float) / g)
+    theta2 = g * (np.asarray(gt2, dtype=float) / g)
+    if not (np.all(np.isfinite(theta1)) and np.all(np.isfinite(theta2))):
+        raise ValueError("transit times must be finite")
+    down1 = np.exp(1j * config.phi1) * math.sqrt(1.0 - config.p)
+    down2 = np.exp(1j * config.phi_effective) * math.sqrt(1.0 - config.p)
+    if n_max == 0 and root_p > ATOL_ALGEBRA:
+        raise TruncationLeakError("|up, n_max=0> is populated before the first transit")
+    f1 = -np.sin(theta1) * root_p  # atom 1 leaves (down1, f1) in the field
+    p_first = abs(down1) ** 2 + f1**2
+    if np.any(p_first <= 0.0):
+        raise ValueError("atom 1 never exits in |down>; cannot condition")
+    f0 = down1 / np.sqrt(p_first)
+    f1 = f1 / np.sqrt(p_first) * np.exp(-1j * (config.omega * config.dt_gap))
+    if n_max < 2 and np.any(np.abs(root_p * (f0, f1)[n_max]) > ATOL_ALGEBRA):
+        raise TruncationLeakError(f"|up, n_max={n_max}> is populated before the second transit")
+    d = np.array(np.broadcast_arrays(  # the |down> block atom 2 leaves behind
+        down2 * f0,
+        np.cos(theta2) * (down2 * f1) - np.sin(theta2) * (root_p * f0),
+        -np.sin(theta2 * math.sqrt(2.0)) * (root_p * f1),
+    ))
+    p_second = np.sum(np.abs(d) ** 2, axis=0)
+    target = make_gbs(GBSParams(2, config.p, math.pi - config.phi_effective), n_max).amps
+    if np.any(p_second <= 0.0):
+        raise ValueError("atom 2 never exits in |down>; cannot condition")
+    p2 = p_first * p_second
+    fid = np.minimum(1.0, np.abs(target[:3].conj() @ d / np.sqrt(p_second)) ** 2)
+    if not np.all((p2 >= -1e-9) & (p2 <= 1.0 + 1e-9) & (fid >= -1e-9) & (fid <= 1.0 + 1e-9)):
+        raise ValueError("p2 or fidelity outside [0, 1]")
+    return p2, fid
 
 
 def predicted_psi2(p: float, phi_eff: float, delta: float, n_max: int = 2) -> FieldState:
@@ -439,36 +479,33 @@ def delta_exp(gt2: float, rel_jitter: float) -> float:
 def monte_carlo_jitter(config: GenerationConfig, model: ErrorModel) -> JitterReport:
     """Propagate interaction-time jitter through the generation pipeline.
 
-    Sample i derives its own RNG stream from (seed, i); the summary is
-    reduced in sample order, so reports are deterministic for a fixed model.
+    Sample i derives its own RNG stream from (seed, i), all samples then go
+    through generation_batch at once, and the summary is reduced in sample
+    order, so reports are deterministic for a fixed model.
     Fidelity quantiles are reported at 5, 25, 50, 75 and 95 percent over the
     detected samples.
     """
-    base_gt1 = GT_FIRST
-    base_gt2 = gt_second(config.m2)
-    rows = []
-    for i in range(model.samples):
+    n = model.samples
+    eps = np.empty((n, 2))
+    rolls = np.empty(n)
+    for i in range(n):
         rng = np.random.default_rng((model.seed, i))
-        eps1, eps2 = rng.normal(0.0, model.rel_timing_jitter, size=2)
-        if not model.jitter_t1:
-            eps1 = 0.0
-        detected = bool(rng.random() < model.detector_efficiency)
-        report = run_generation(
-            config, gt1=base_gt1 * (1.0 + eps1), gt2=base_gt2 * (1.0 + eps2)
-        )
-        rows.append(
-            JitterSample(
-                index=i,
-                eps_t1=float(eps1),
-                eps_t2=float(eps2),
-                fidelity=report.fidelity_to_target,
-                p2=report.p2,
-                detected=detected,
-            )
-        )
+        eps[i] = rng.normal(0.0, model.rel_timing_jitter, size=2)
+        rolls[i] = rng.random()
+    if not model.jitter_t1:
+        eps[:, 0] = 0.0
+    detected = rolls < model.detector_efficiency
+    p2, fid = generation_batch(
+        config, GT_FIRST * (1.0 + eps[:, 0]), gt_second(config.m2) * (1.0 + eps[:, 1])
+    )
+    samples = np.rec.fromarrays(
+        (np.arange(n), eps[:, 0], eps[:, 1], fid, p2, detected),
+        names=("index", "eps_t1", "eps_t2", "fidelity", "p2", "detected"),
+    )
+    samples.flags.writeable = False
 
-    kept_f = np.array([r.fidelity for r in rows if r.detected])
-    kept_p2 = np.array([r.p2 for r in rows if r.detected])
+    kept_f = fid[detected]
+    kept_p2 = p2[detected]
     if kept_f.size:
         levels = (0.05, 0.25, 0.5, 0.75, 0.95)
         quantiles = {
@@ -490,7 +527,7 @@ def monte_carlo_jitter(config: GenerationConfig, model: ErrorModel) -> JitterRep
         mean_p2=mean_p2,
         quantiles=quantiles,
         samples_used=int(kept_f.size),
-        samples=tuple(rows),
+        samples=samples,
     )
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import gbscavity
+from gbscavity import GT_FIRST, GenerationConfig, gt_second, run_generation
 from gbscavity.cli import main
 
 
@@ -192,6 +193,19 @@ def test_error_sweep_rows_and_determinism(tmp_path, capsys):
     assert per_sample[0] == "sample,eps_t1,eps_t2,fidelity,p2,detected"
     assert len(per_sample) == 151
     assert (out_a / "mc_samples_j0.csv").exists()
+    # sample i draws from its own stream (seed, i): eps_t1, eps_t2, then the
+    # detector roll; 17 significant digits give the doubles back exactly
+    cfg = GenerationConfig(p=1.0)
+    for i, line in enumerate(per_sample[1:]):
+        cells = line.split(",")
+        rng = np.random.default_rng((7, i))
+        eps1, eps2 = rng.normal(0.0, 1e-2, size=2)
+        assert (int(cells[0]), float(cells[1]), float(cells[2])) == (i, eps1, eps2)
+        assert cells[5] == str(int(rng.random() < 1.0))
+        report = run_generation(cfg, gt1=GT_FIRST * (1.0 + eps1),
+                                gt2=gt_second(cfg.m2) * (1.0 + eps2))
+        assert abs(float(cells[3]) - report.fidelity_to_target) <= 1e-14
+        assert abs(float(cells[4]) - report.p2) <= 1e-14
 
     manifest = json.loads((out_a / "manifest.json").read_text())
     assert manifest["seed"] == 7

@@ -50,6 +50,7 @@ CONFIG_FILES = {
     "p_huge": '{"p": 1e400}',
     "p_nan": '{"p": NaN}',
     "n_max_huge": '{"p": 0.5, "n_max": 1e400}',
+    "n_max_long": '{"p": 0.5, "omega": 1.0, "n_max": 1' + "0" * 400 + "}",
     "unknown_key": json.dumps({"p": 0.5, "bogus": 1}),
     "model_list": json.dumps({"p": 0.5, "error_model": []}),
     "model_unknown": json.dumps({"p": 0.5, "error_model": {"bogus": 1}}),
@@ -139,14 +140,16 @@ def _argv(files, command, overrides, fmt, out):
     return argv
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(invocations())
-@example(invocation=("feasibility", [("--g", "0")], "text", None))
-@example(invocation=("measure", [("--state-file", "n_max_huge"), ("--decode-p", "0.5"),
-                      ("--decode-phi", "0")], "json", None))
-@example(invocation=("optimize-timing", [("--gt-max", "inf")], "csv", None))
-def test_every_input_ends_in_a_documented_exit_code(files, invocation):
-    argv = _argv(files, *invocation)
+# omega*dt_gap = 1.5e308 is finite, but the free-field phase n*omega*dt_gap
+# of the higher photon numbers is not: rejected once, by GenerationConfig.
+OVERFLOW = [
+    ("generate", [("--omega", "1e308"), ("--dt-gap", "1.5")], "text", None),
+    ("error-sweep", [("--omega", "1e308"), ("--dt-gap", "1.5")], "json", "dir"),
+]
+
+
+def _run(argv):
+    """(exit code, whether argparse exited, stderr, warnings caught)."""
     stderr = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
@@ -156,7 +159,30 @@ def test_every_input_ends_in_a_documented_exit_code(files, invocation):
             usage_error = False
         except SystemExit as exc:  # argparse rejects malformed flags this way
             code, usage_error = exc.code, True
-    err = stderr.getvalue()
+    return code, usage_error, stderr.getvalue(), caught
+
+
+@pytest.mark.parametrize("invocation", OVERFLOW)
+def test_free_field_overflow_is_one_usage_error(files, invocation):
+    argv = _argv(files, *invocation)
+    code, usage_error, err, caught = _run(argv)
+    assert (code, usage_error) == (2, False), argv
+    assert not caught, (argv, [str(w.message) for w in caught])
+    assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(invocations())
+@example(invocation=("feasibility", [("--g", "0")], "text", None))
+@example(invocation=("measure", [("--state-file", "n_max_huge"), ("--decode-p", "0.5"),
+                      ("--decode-phi", "0")], "json", None))
+@example(invocation=("optimize-timing", [("--gt-max", "inf")], "csv", None))
+@example(invocation=OVERFLOW[0])
+@example(invocation=OVERFLOW[1])
+@example(invocation=("generate", [("--config", "n_max_long")], "json", None))
+def test_every_input_ends_in_a_documented_exit_code(files, invocation):
+    argv = _argv(files, *invocation)
+    code, usage_error, err, caught = _run(argv)
     assert code in (0, 2, 3, 4), argv
     assert not caught, (argv, [str(w.message) for w in caught])
     assert "Traceback" not in err, argv
