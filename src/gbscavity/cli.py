@@ -258,11 +258,13 @@ def cmd_error_sweep(args) -> int:
     if model_dict["samples"] < 100:
         raise ValueError("error sweeps need at least 100 samples")
 
+    models = [ErrorModel(rel_timing_jitter=jit, **model_dict) for jit in jitters]
+
     gt2 = gt_second(cfg.m2)
     rows = []
     extra_files = {}
-    for jit in jitters:
-        rpt = monte_carlo_jitter(cfg, ErrorModel(rel_timing_jitter=jit, **model_dict))
+    for jit, model in zip(jitters, models):
+        rpt = monte_carlo_jitter(cfg, model)
         rows.append({
             "jitter": jit,
             "delta_exp": delta_exp(gt2, jit),
@@ -372,7 +374,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pipeline.add_argument("--config", help="JSON config file")
     pipeline.add_argument("--p", type=float, help="excited-state weight of the atomic preparation")
     pipeline.add_argument("--phi1", type=float, help="preparation phase of atom 1")
-    pipeline.add_argument("--g", type=float, help="vacuum Rabi coupling")
     pipeline.add_argument("--omega", type=float, help="bare cavity frequency")
     pipeline.add_argument("--dt-gap", type=float, help="free evolution time between the atoms")
     pipeline.add_argument("--n-max", type=int, help="Fock truncation")

@@ -26,10 +26,8 @@ __all__ = [
     "jc_expm_evolve",
     "free_field_evolve",
     "ramsey_prepare",
-    "ramsey_decode",
     "ramsey_decode_matrix",
     "excitation_operator",
-    "operator_to_dict",
 ]
 
 _BASIS_LABELS = ("field", "joint-atom-major")
@@ -177,24 +175,8 @@ def ramsey_decode_matrix(p: float, phi: float) -> np.ndarray:
     )
 
 
-def ramsey_decode(atom: AtomState, p: float, phi: float) -> AtomState:
-    """Apply the decoding Ramsey unitary to a single atom."""
-    m = ramsey_decode_matrix(p, phi)
-    down, up = m @ atom.amps
-    return AtomState(down=down, up=up)
-
-
 def excitation_operator(n_max: int) -> OperatorMatrix:
     """Total excitation number sigma_z / 2 + a† a, conserved by the evolution."""
     ns = np.arange(n_max + 1, dtype=np.float64)
     diag = np.concatenate([ns - 0.5, ns + 0.5])
     return OperatorMatrix(np.diag(diag), "joint-atom-major")
-
-
-def operator_to_dict(op: OperatorMatrix) -> dict:
-    """JSON-ready form: row-major [re, im] entries plus the basis label."""
-    return {
-        "dim": op.dim,
-        "basis": op.basis,
-        "matrix": [[[z.real, z.imag] for z in row] for row in op.matrix],
-    }

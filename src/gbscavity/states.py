@@ -58,8 +58,8 @@ class FieldState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def is_normalized(self, atol: float = ATOL_ALGEBRA) -> bool:
-        return abs(self.norm() ** 2 - 1.0) <= atol
+    def is_normalized(self) -> bool:
+        return abs(self.norm() ** 2 - 1.0) <= ATOL_ALGEBRA
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,8 @@ class AtomState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def is_normalized(self, atol: float = ATOL_ALGEBRA) -> bool:
-        return abs(self.norm() ** 2 - 1.0) <= atol
+    def is_normalized(self) -> bool:
+        return abs(self.norm() ** 2 - 1.0) <= ATOL_ALGEBRA
 
 
 @dataclass(frozen=True)
@@ -113,8 +113,8 @@ class JointState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def is_normalized(self, atol: float = ATOL_ALGEBRA) -> bool:
-        return abs(self.norm() ** 2 - 1.0) <= atol
+    def is_normalized(self) -> bool:
+        return abs(self.norm() ** 2 - 1.0) <= ATOL_ALGEBRA
 
 
 @dataclass(frozen=True)

@@ -95,15 +95,18 @@ def test_measure_hit_and_miss(capsys):
 
 
 def test_measure_consumes_generated_state(tmp_path, capsys):
-    out = tmp_path / "gen"
-    assert main(["generate", "--p", "0.4", "--phi1", "0.2", "--out", str(out)]) == 0
-    capsys.readouterr()
-    code, report = run_json(capsys, [
-        "measure", "--state-file", str(out / "post_field.json"),
-        "--decode-p", "0.4", "--decode-phi", str(math.pi - 0.2),
-    ])
-    assert code == 0
-    assert report["prob_up"] >= 0.999
+    # n_max = 2 is the smallest truncation generate accepts; measure takes it too
+    for name, p, phi1, n_max in (("gen", 0.4, 0.2, 4), ("gen_small", 0.5, 0.0, 2)):
+        out = tmp_path / name
+        assert main(["generate", "--p", str(p), "--phi1", str(phi1), "--n-max", str(n_max),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        code, report = run_json(capsys, [
+            "measure", "--state-file", str(out / "post_field.json"),
+            "--decode-p", str(p), "--decode-phi", str(math.pi - phi1),
+        ])
+        assert code == 0
+        assert report["prob_up"] >= 0.999
 
 
 def test_measure_input_errors(tmp_path):
@@ -304,6 +307,20 @@ def test_feasibility_input_errors():
 
 
 # ------------------------------------------------------------------- parser
+
+
+def test_pipeline_takes_no_coupling(tmp_path):
+    # transits are g*t products, so generate and error-sweep have no --g: it
+    # must not be read as an abbreviation of another flag either
+    for argv in (["generate", "--p=0.5", "--g=2"],
+                 ["error-sweep", "--p=0.5", "--samples=100", "--g=2"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": 0.5, "g": 1.0}))
+    for command in ("generate", "error-sweep"):
+        assert main([command, "--config", str(cfg)]) == 2
 
 
 def test_missing_subcommand_is_usage_error():

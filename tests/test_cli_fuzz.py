@@ -61,7 +61,7 @@ CONFIG_FILES = {
     "garbled": "{not json",
 }
 
-PIPELINE = ("--p", "--phi1", "--g", "--omega", "--dt-gap", "--n-max", "--m2", "--config")
+PIPELINE = ("--p", "--phi1", "--omega", "--dt-gap", "--n-max", "--m2", "--config")
 BASE = {
     "generate": ["--p=0.5"],
     "measure": ["--gbs=2,0.3,0.9"],
@@ -142,9 +142,13 @@ def _argv(files, command, overrides, fmt, out):
 
 # omega*dt_gap = 1.5e308 is finite, but the free-field phase n*omega*dt_gap
 # of the higher photon numbers is not: rejected once, by GenerationConfig.
+# A relative jitter above 1 would overflow delta_exp and the jittered transit
+# times: rejected once, by ErrorModel.
 OVERFLOW = [
     ("generate", [("--omega", "1e308"), ("--dt-gap", "1.5")], "text", None),
     ("error-sweep", [("--omega", "1e308"), ("--dt-gap", "1.5")], "json", "dir"),
+    ("error-sweep", [("--jitter", "1e300")], "text", None),
+    ("error-sweep", [("--jitter", "1e308")], "json", "dir"),
 ]
 
 
@@ -179,6 +183,8 @@ def test_free_field_overflow_is_one_usage_error(files, invocation):
 @example(invocation=("optimize-timing", [("--gt-max", "inf")], "csv", None))
 @example(invocation=OVERFLOW[0])
 @example(invocation=OVERFLOW[1])
+@example(invocation=OVERFLOW[2])
+@example(invocation=OVERFLOW[3])
 @example(invocation=("generate", [("--config", "n_max_long")], "json", None))
 def test_every_input_ends_in_a_documented_exit_code(files, invocation):
     argv = _argv(files, *invocation)

@@ -21,8 +21,6 @@ from gbscavity import (
     jc_hamiltonian,
     make_fock,
     make_gbs,
-    operator_to_dict,
-    ramsey_decode,
     ramsey_decode_matrix,
     ramsey_prepare,
     tensor,
@@ -206,25 +204,17 @@ def test_ramsey_decode_discriminates():
     # The decode collapses the matched superposition onto |up> ...
     p, phi = 0.42, 2.2
     atom = AtomState(down=math.sqrt(1 - p), up=np.exp(1j * phi) * math.sqrt(p))
-    out = ramsey_decode(atom, p, phi)
-    assert abs(abs(out.up) - 1.0) < 1e-12
-    assert abs(out.down) < 1e-12
+    down, up = ramsey_decode_matrix(p, phi) @ atom.amps
+    assert abs(abs(up) - 1.0) < 1e-12
+    assert abs(down) < 1e-12
     # ... and the orthogonal superposition onto |down>
     ortho = AtomState(down=math.sqrt(p), up=-np.exp(1j * phi) * math.sqrt(1 - p))
-    out2 = ramsey_decode(ortho, p, phi)
-    assert abs(abs(out2.down) - 1.0) < 1e-12
-    assert abs(out2.up) < 1e-12
+    down2, up2 = ramsey_decode_matrix(p, phi) @ ortho.amps
+    assert abs(abs(down2) - 1.0) < 1e-12
+    assert abs(up2) < 1e-12
 
 
-# ------------------------------------------------------------ serialization
-
-
-def test_operator_serialization_shape():
-    op = jc_hamiltonian(2, CouplingSpec(g=1.0))
-    data = operator_to_dict(op)
-    assert data["basis"] == "joint-atom-major"
-    assert data["dim"] == 6
-    assert data["matrix"][3][1] == [0.0, 1.0]  # <up,0| H |down,1> = i
+# ---------------------------------------------------------------- operators
 
 
 def test_operator_matrix_validation():

@@ -144,8 +144,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         GenerationConfig(p=1.5)
     with pytest.raises(ValueError):
-        GenerationConfig(p=0.5, g=0.0)
-    with pytest.raises(ValueError):
         GenerationConfig(p=0.5, m2=17)
     with pytest.raises(ValueError):
         GenerationConfig(p=0.5, m2=2.0)  # must be an integer
@@ -217,8 +215,16 @@ def test_measurement_input_validation():
 
     with pytest.raises(ValueError):
         run_measurement(FieldState([0.5, 0.0, 0.0, 0.0], 3), 0.5, 0.0)
-    with pytest.raises(ValueError):
-        run_measurement(make_fock(0, 2), 0.5, 0.0)  # needs n_max >= 3
+    # any n_max works: the probe never populates |up, n_max>, so the readout
+    # of a two-photon state is the same at n_max = 2 as at n_max = 4
+    small = run_measurement(make_gbs(GBSParams(2, 0.3, 0.9), 2), 0.3, 0.9)
+    large = run_measurement(make_gbs(GBSParams(2, 0.3, 0.9), 4), 0.3, 0.9)
+    assert abs(small.prob_up - large.prob_up) <= 1e-15
+    assert abs(small.prob_down - large.prob_down) <= 1e-15
+    for a, b in ((small.post_field_up, large.post_field_up),
+                 (small.post_field_down, large.post_field_down)):
+        assert np.max(np.abs(a.amps - b.amps[:3])) <= 1e-15
+        assert np.all(b.amps[3:] == 0.0)
 
 
 def test_distinguish_labels_the_pair():
