@@ -48,10 +48,8 @@ _CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(GenerationConfig))
 _MODEL_KEYS = tuple(f.name for f in dataclasses.fields(ErrorModel))
 _SWEEP_CSV_COLUMNS = ("jitter", "delta_exp", "mean_infidelity", "std_infidelity",
                       "mean_delivered_infidelity", "mean_p2", "samples_used")
-
-
-def _g17(x: float) -> str:
-    return f"{x:.17g}"
+# one per-sample record: index, eps_t1, eps_t2, fidelity, p2, detected
+_SAMPLE_CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%d\n"
 
 
 def _num(x: float) -> str:
@@ -70,7 +68,7 @@ def _csv(columns, rows) -> str:
     """CSV of the given columns of row dicts at 17 significant digits (exact
     for the small integer cells too)."""
     lines = [",".join(columns)]
-    lines += [",".join(_g17(row[c]) for c in columns) for row in rows]
+    lines += [",".join(f"{row[c]:.17g}" for c in columns) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -276,12 +274,9 @@ def cmd_error_sweep(args) -> int:
             "samples_used": rpt.samples_used,
             "quantiles": rpt.quantiles,
         })
-        sample_lines = ["sample,eps_t1,eps_t2,fidelity,p2,detected"]
-        sample_lines += [
-            f"{i},{_g17(e1)},{_g17(e2)},{_g17(f)},{_g17(p2)},{int(d)}"
-            for i, e1, e2, f, p2, d in rpt.samples.tolist()
-        ]
-        extra_files[f"mc_samples_j{jit:g}.csv"] = "\n".join(sample_lines) + "\n"
+        header = "sample,eps_t1,eps_t2,fidelity,p2,detected\n"
+        extra_files[f"mc_samples_j{jit:g}.csv"] = header + "".join(
+            [_SAMPLE_CSV_ROW % row for row in rpt.samples.tolist()])
 
     digest_obj = {"config": dataclasses.asdict(cfg), "jitters": jitters, **model_dict}
     json_obj = {"config": digest_obj["config"], "model": model_dict, "rows": rows}
@@ -383,15 +378,17 @@ def _build_parser() -> argparse.ArgumentParser:
     point.add_argument("--p", type=float, required=True)
     point.add_argument("--phi", type=float, default=0.0)
 
+    # allow_abbrev=False: a flag is spelled in full, so a prefix of a flag
+    # (or a removed flag that is a prefix of a kept one) is an error
     parser = argparse.ArgumentParser(
-        prog="gbscavity",
+        prog="gbscavity", allow_abbrev=False,
         description="Two-photon binomial cavity states: generation, readout and error budget.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, help, *parents):
-        cmd = sub.add_parser(name, parents=[common, *parents], help=help)
+        cmd = sub.add_parser(name, parents=[common, *parents], help=help, allow_abbrev=False)
         cmd.set_defaults(func=func)
         return cmd
 
@@ -449,8 +446,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TruncationLeakError, ValueError, TypeError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (TruncationLeakError, ValueError, TypeError, KeyError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_LEAK if isinstance(exc, TruncationLeakError) else EXIT_USAGE
 
 

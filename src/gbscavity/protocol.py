@@ -199,8 +199,9 @@ class ErrorModel:
             raise ValueError(f"rel_timing_jitter must be in [0, 1], got {self.rel_timing_jitter}")
         if not 0.0 <= self.detector_efficiency <= 1.0:
             raise ValueError("detector_efficiency must be in [0, 1]")
-        if not isinstance(self.samples, int) or self.samples < 1:
-            raise ValueError("samples must be a positive integer")
+        # sample i seeds its stream with (seed, i), and i is one 32-bit word
+        if not isinstance(self.samples, int) or not 1 <= self.samples <= 2**32:
+            raise ValueError("samples must be an integer in [1, 2**32]")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
@@ -470,27 +471,90 @@ def optimize_t2(m2_min: int = M2_MIN, m2_max: int = M2_MAX) -> TimingResult:
 
 def delta_exp(gt2: float, rel_jitter: float) -> float:
     """Expected timing-error scale 2 (g T2)^2 (dT2 / T2)^2."""
-    if gt2 < 0.0 or rel_jitter < 0.0:
-        raise ValueError("gt2 and rel_jitter must be non-negative")
-    return 2.0 * gt2**2 * rel_jitter**2
+    if not (0.0 <= gt2 < math.inf and 0.0 <= rel_jitter < math.inf):
+        raise ValueError("gt2 and rel_jitter must be finite and non-negative")
+    try:
+        value = 2.0 * gt2**2 * rel_jitter**2
+    except OverflowError:  # float ** raises where float * gives inf
+        value = math.inf
+    if value == math.inf:
+        raise ValueError(f"delta_exp overflows at gt2={gt2}, rel_jitter={rel_jitter}")
+    return value
+
+
+# Hash constants of numpy's SeedSequence (O'Neill's seed_seq_fe, pool size 4).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _keyed_seed_words(seed: int, n: int) -> np.ndarray:
+    """SeedSequence((seed, i)).generate_state(4, np.uint64) for all i < n, as (n, 4) uint64.
+
+    numpy's mix_entropy and generate_state, run on uint32 columns with one
+    entry per sample.  The seed gives 1 or 2 entropy words and the index
+    i < 2**32 exactly 1, so the entropy never outgrows the pool of 4 and
+    numpy's loop that mixes in words beyond the pool never runs; it is left
+    out here.
+    """
+    u32 = np.uint32
+    entropy = [u32(seed & _MASK32)] + ([u32(seed >> 32)] if seed >> 32 else [])
+    entropy.append(np.arange(n, dtype=u32))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ u32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * u32(hash_const)
+        return value ^ (value >> u32(16))
+
+    def mix(x, y):
+        result = u32(_MIX_MULT_L) * x - u32(_MIX_MULT_R) * y
+        return result ^ (result >> u32(16))
+
+    with np.errstate(over="ignore"):  # the hash wraps modulo 2**32 by design
+        pool = [hashmix(entropy[k] if k < len(entropy) else u32(0)) for k in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        state = []
+        out_const = _INIT_B
+        for k in range(8):  # generate_state cycles over the pool for 8 uint32 words
+            value = pool[k % 4] ^ u32(out_const)
+            out_const = out_const * _MULT_B & _MASK32
+            value = value * u32(out_const)
+            state.append(value ^ (value >> u32(16)))
+    # as numpy does: read each row of 8 uint32 words as 4 little-endian uint64
+    state = np.stack(state, axis=1).astype("<u4", copy=False)
+    return state.view("<u8").astype(np.uint64, copy=False)
 
 
 def monte_carlo_jitter(config: GenerationConfig, model: ErrorModel) -> JitterReport:
     """Propagate interaction-time jitter through the generation pipeline.
 
-    Sample i derives its own RNG stream from (seed, i), all samples then go
-    through generation_batch at once, and the summary is reduced in sample
-    order, so reports are deterministic for a fixed model.
+    Sample i draws from its own RNG stream np.random.default_rng((seed, i)),
+    whose seed words are derived for all samples in one pass; all samples
+    then go through generation_batch at once, and the summary is reduced in
+    sample order, so reports are deterministic for a fixed model.
     Fidelity quantiles are reported at 5, 25, 50, 75 and 95 percent over the
     detected samples.
     """
+    # numpy.random loads lazily on numpy 2.x; keep it out of `import gbscavity`
+    from numpy.random import PCG64, Generator
+
+    from ._keyed_streams import SeedWords
+
     n = model.samples
     eps = np.empty((n, 2))
     rolls = np.empty(n)
-    for i in range(n):
-        rng = np.random.default_rng((model.seed, i))
+    for i, words in enumerate(_keyed_seed_words(model.seed, n)):
+        rng = Generator(PCG64(SeedWords(words)))
         eps[i] = rng.normal(0.0, model.rel_timing_jitter, size=2)
         rolls[i] = rng.random()
+    del rng, words  # the last stream holds a view of every sample's seed words
     if not model.jitter_t1:
         eps[:, 0] = 0.0
     detected = rolls < model.detector_efficiency

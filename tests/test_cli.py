@@ -10,6 +10,7 @@ import pytest
 
 import gbscavity
 from gbscavity import GT_FIRST, GenerationConfig, gt_second, run_generation
+from gbscavity import cli
 from gbscavity.cli import main
 
 
@@ -220,6 +221,19 @@ def test_error_sweep_sample_floor():
                  "--samples", "50"]) == 2
 
 
+def test_error_sweep_sample_ceiling_and_memory_error(monkeypatch, capsys):
+    # more samples than 32-bit stream keys: a usage error before any allocation
+    assert main(["error-sweep", "--p", "1", "--samples", "1000000000000"]) == 2
+    assert capsys.readouterr().err == "error: samples must be an integer in [1, 2**32]\n"
+
+    def out_of_memory(config, model):
+        raise MemoryError("Unable to allocate 14.6 TiB")
+
+    monkeypatch.setattr(cli, "monte_carlo_jitter", out_of_memory)
+    assert main(["error-sweep", "--p", "1", "--samples", "100"]) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 14.6 TiB\n"
+
+
 def test_error_sweep_reads_error_model_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -321,6 +335,17 @@ def test_pipeline_takes_no_coupling(tmp_path):
     cfg.write_text(json.dumps({"p": 0.5, "g": 1.0}))
     for command in ("generate", "error-sweep"):
         assert main([command, "--config", str(cfg)]) == 2
+
+
+def test_flags_are_spelled_in_full():
+    # no prefix matching: --jit is not --jitter, and a removed flag that is a
+    # prefix of a kept one (--g of --gt1/--gt2) stays an error
+    for argv in (["error-sweep", "--p=1", "--jit=1e-2", "--samples=100"],
+                 ["error-sweep", "--p", "1", "--jitter", "1e-2", "--sam", "100"],
+                 ["generate", "--g=2"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
 
 
 def test_missing_subcommand_is_usage_error():

@@ -261,6 +261,9 @@ def test_delta_exp_values():
     assert delta_exp(0.0, 0.5) == 0.0
     with pytest.raises(ValueError):
         delta_exp(-1.0, 0.1)
+    for gt2, rel_jitter in ((32.2, 1e300), (math.nan, 0.1), (math.inf, 0.1)):
+        with pytest.raises(ValueError):
+            delta_exp(gt2, rel_jitter)
 
 
 def test_monte_carlo_zero_jitter_collapses():
@@ -332,6 +335,10 @@ def test_error_model_validation():
         ErrorModel(rel_timing_jitter=0.0, samples=0)
     with pytest.raises(ValueError):
         ErrorModel(rel_timing_jitter=0.0, seed=-1)
+    # the sample index keys its stream as one 32-bit word
+    assert ErrorModel(rel_timing_jitter=0.0, samples=2**32).samples == 2**32
+    with pytest.raises(ValueError):
+        ErrorModel(rel_timing_jitter=0.0, samples=2**32 + 1)
 
 
 # -------------------------------------------------------------- feasibility
