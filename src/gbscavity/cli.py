@@ -22,7 +22,7 @@ from pathlib import Path
 from . import __version__
 from .angular import j3_operator, verify_eigenbasis
 from .constants import ATOL_ALGEBRA, DEFAULT_N_MAX, M2_MAX, M2_MIN
-from .dynamics import CouplingSpec, OperatorMatrix, TruncationLeakError
+from .dynamics import TruncationLeakError
 from .protocol import (
     GT_FIRST,
     ErrorModel,
@@ -294,9 +294,9 @@ def cmd_error_sweep(args) -> int:
 
 
 def cmd_verify_basis(args) -> int:
-    matrix = j3_operator(args.p, args.phi).matrix.copy()
+    matrix = j3_operator(args.p, args.phi)
     matrix[0, 0] += args.perturb  # test hook: nudge one matrix element
-    report = verify_eigenbasis(args.p, args.phi, operator=OperatorMatrix(matrix, "field"))
+    report = verify_eigenbasis(args.p, args.phi, operator=matrix)
     ok = report.max_residual < ATOL_ALGEBRA
 
     digest_obj = {"p": args.p, "phi": args.phi, "perturb": args.perturb}
@@ -339,8 +339,9 @@ def cmd_feasibility(args) -> int:
         sequence = args.sequence_duration
     else:
         # SI derivation from the coupling: nominal transit times of the pipeline.
-        g = CouplingSpec(args.g).g
-        times = (GT_FIRST / g, gt_second(args.m2) / g)
+        if not (math.isfinite(args.g) and args.g > 0.0):
+            raise ValueError(f"--g must be positive and finite, got {args.g}")
+        times = (GT_FIRST / args.g, gt_second(args.m2) / args.g)
         gap = args.dt_gap or 0.0
         sequence = (args.sequence_duration if args.sequence_duration is not None
                     else times[0] + gap + times[1])
@@ -389,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add(name, func, help, *parents):
         cmd = sub.add_parser(name, parents=[common, *parents], help=help, allow_abbrev=False)
-        cmd.set_defaults(func=func)
+        cmd.set_defaults(func=func, parser=cmd)
         return cmd
 
     gen = add("generate", cmd_generate, "run the two-atom generation pipeline", pipeline)
@@ -443,7 +444,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    # unknown flags are reported by the chosen subcommand, with its usage line
+    args, extras = _build_parser().parse_known_args(argv)
+    if extras:
+        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    del args.parser  # let the parsers go before the command runs
     try:
         return args.func(args)
     except (TruncationLeakError, ValueError, TypeError, KeyError, OSError, MemoryError) as exc:

@@ -5,11 +5,12 @@ exchange, where the dynamics reduce to rotations inside the two-dimensional
 blocks spanned by {|up, n>, |down, n+1>} while |down, 0> stays fixed.  The
 free cavity evolution between atom transits is a photon-number phase acting
 on the field alone.  hbar = 1 throughout, so only the products g*t and
-omega*dt matter.
+omega*dt matter.  Operators are plain complex arrays on the joint basis
+(atom-major: the |down, n> block, then the |up, n> block); each call
+returns a fresh one.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -19,8 +20,6 @@ from .states import AtomState, FieldState, JointState
 
 __all__ = [
     "TruncationLeakError",
-    "CouplingSpec",
-    "OperatorMatrix",
     "jc_closed_form",
     "jc_hamiltonian",
     "jc_expm_evolve",
@@ -30,45 +29,8 @@ __all__ = [
     "excitation_operator",
 ]
 
-_BASIS_LABELS = ("field", "joint-atom-major")
-
-
 class TruncationLeakError(RuntimeError):
     """Amplitude would be pushed past the highest retained photon number."""
-
-
-@dataclass(frozen=True)
-class CouplingSpec:
-    """Atom-cavity coupling g (rad/s), positive and finite."""
-
-    g: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.g) and self.g > 0.0):
-            raise ValueError(f"coupling g must be positive, got {self.g}")
-
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense operator with an explicit basis label."""
-
-    matrix: np.ndarray
-    basis: str
-
-    def __post_init__(self):
-        arr = np.array(self.matrix, dtype=np.complex128, copy=True)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"operator matrix must be square, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("operator entries must be finite")
-        if self.basis not in _BASIS_LABELS:
-            raise ValueError(f"unknown basis label {self.basis!r}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "matrix", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def _check_truncation(joint: JointState):
@@ -103,30 +65,30 @@ def jc_closed_form(joint: JointState, g: float, t: float) -> JointState:
     return JointState(np.concatenate([out_down, out_up]), joint.n_max)
 
 
-def jc_hamiltonian(n_max: int, spec: CouplingSpec) -> OperatorMatrix:
-    """Interaction-picture generator i g (sigma+ a - sigma- a†) on the joint basis."""
+def jc_hamiltonian(n_max: int) -> np.ndarray:
+    """Unit-coupling generator i (sigma+ a - sigma- a†) on the joint basis;
+    evolution for g*t is exp(-i H g t)."""
     if n_max < 1:
         raise ValueError("jc_hamiltonian needs n_max >= 1")
     d = n_max + 1
     h = np.zeros((2 * d, 2 * d), dtype=np.complex128)
     for n in range(n_max):
-        c = 1j * spec.g * math.sqrt(n + 1.0)
+        c = 1j * math.sqrt(n + 1.0)
         h[d + n, n + 1] = c      # <up, n| H |down, n+1>
         h[n + 1, d + n] = -c
-    return OperatorMatrix(h, "joint-atom-major")
+    return h
 
 
 @lru_cache(maxsize=None)
 def _unit_coupling_eigh(n_max: int):
-    h = jc_hamiltonian(n_max, CouplingSpec(g=1.0)).matrix
-    vals, vecs = np.linalg.eigh(h)
+    vals, vecs = np.linalg.eigh(jc_hamiltonian(n_max))
     vals.flags.writeable = False
     vecs.flags.writeable = False
     return vals, vecs
 
 
 def jc_expm_evolve(joint: JointState, g: float, t: float) -> JointState:
-    """Evolution by exp(-i H t) through the spectral decomposition of H.
+    """Evolution by exp(-i H g t), H = jc_hamiltonian(n_max), via the spectrum of H.
 
     Independent numerical route used to cross-check jc_closed_form.  The
     eigendecomposition of the unit-coupling generator is cached per n_max
@@ -175,8 +137,8 @@ def ramsey_decode_matrix(p: float, phi: float) -> np.ndarray:
     )
 
 
-def excitation_operator(n_max: int) -> OperatorMatrix:
+def excitation_operator(n_max: int) -> np.ndarray:
     """Total excitation number sigma_z / 2 + a† a, conserved by the evolution."""
     ns = np.arange(n_max + 1, dtype=np.float64)
     diag = np.concatenate([ns - 0.5, ns + 0.5])
-    return OperatorMatrix(np.diag(diag), "joint-atom-major")
+    return np.diag(diag).astype(np.complex128)

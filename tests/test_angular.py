@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gbscavity import (
-    OperatorMatrix,
     hp_operators,
     inner,
     j3_operator,
@@ -25,23 +24,22 @@ def basis(n):
 
 
 def test_ladder_matrix_elements():
-    ops = hp_operators()
-    assert np.allclose(ops.plus.matrix @ basis(1), math.sqrt(2.0) * basis(0), atol=1e-15)
-    assert np.allclose(ops.plus.matrix @ basis(2), math.sqrt(2.0) * basis(1), atol=1e-15)
-    assert np.allclose(ops.plus.matrix @ basis(0), 0.0, atol=1e-15)
-    assert np.allclose(ops.minus.matrix @ basis(2), 0.0, atol=1e-15)
-    assert np.allclose(ops.zero.matrix @ basis(0), basis(0), atol=1e-15)
-    assert np.allclose(ops.zero.matrix @ basis(2), -basis(2), atol=1e-15)
+    jp, jm, j0 = hp_operators()
+    assert np.allclose(jp @ basis(1), math.sqrt(2.0) * basis(0), atol=1e-15)
+    assert np.allclose(jp @ basis(2), math.sqrt(2.0) * basis(1), atol=1e-15)
+    assert np.allclose(jp @ basis(0), 0.0, atol=1e-15)
+    assert np.allclose(jm @ basis(2), 0.0, atol=1e-15)
+    assert np.allclose(j0 @ basis(0), basis(0), atol=1e-15)
+    assert np.allclose(j0 @ basis(2), -basis(2), atol=1e-15)
 
 
 def test_ladder_adjoint_pair():
-    ops = hp_operators()
-    assert np.max(np.abs(ops.plus.matrix.conj().T - ops.minus.matrix)) < 1e-15
+    jp, jm, _ = hp_operators()
+    assert np.max(np.abs(jp.conj().T - jm)) < 1e-15
 
 
 def test_su2_commutators():
-    ops = hp_operators()
-    jp, jm, j0 = ops.plus.matrix, ops.minus.matrix, ops.zero.matrix
+    jp, jm, j0 = hp_operators()
     assert np.max(np.abs(jp @ jm - jm @ jp - 2.0 * j0)) < 1e-12
     assert np.max(np.abs(j0 @ jp - jp @ j0 - jp)) < 1e-12
     assert np.max(np.abs(j0 @ jm - jm @ j0 + jm)) < 1e-12
@@ -51,16 +49,16 @@ def test_su2_commutators():
 
 
 def test_j3_special_points():
-    top = j3_operator(1.0, 0.0).matrix
+    top = j3_operator(1.0, 0.0)
     assert np.allclose(top, np.diag([-1.0, 0.0, 1.0]), atol=1e-15)
-    ops = hp_operators()
-    balanced = j3_operator(0.5, 0.0).matrix
-    assert np.allclose(balanced, 0.5 * (ops.plus.matrix + ops.minus.matrix), atol=1e-15)
+    jp, jm, _ = hp_operators()
+    balanced = j3_operator(0.5, 0.0)
+    assert np.allclose(balanced, 0.5 * (jp + jm), atol=1e-15)
 
 
 def test_j3_hermitian_traceless():
     for p, phi in GRID:
-        m = j3_operator(p, phi).matrix
+        m = j3_operator(p, phi)
         assert np.max(np.abs(m - m.conj().T)) < 1e-15
         assert abs(np.trace(m)) < 1e-12
 
@@ -75,8 +73,7 @@ def test_j3_rejects_bad_p():
 
 def test_triple_is_orthonormal():
     for p, phi in GRID:
-        triple = spin1_triple(p, phi)
-        states = (triple.plus, triple.zero, triple.minus)
+        states = spin1_triple(p, phi)
         for i, a in enumerate(states):
             for j, b in enumerate(states):
                 want = 1.0 if i == j else 0.0
@@ -92,22 +89,34 @@ def test_verify_eigenbasis_residuals():
 
 def test_numeric_eigenvectors_match_analytic_triple():
     for p, phi in GRID:
-        op = j3_operator(p, phi).matrix
-        vals, vecs = np.linalg.eigh(op)
-        triple = spin1_triple(p, phi)
-        for target, state in ((1.0, triple.plus), (0.0, triple.zero), (-1.0, triple.minus)):
+        vals, vecs = np.linalg.eigh(j3_operator(p, phi))
+        for target, state in zip((1.0, 0.0, -1.0), spin1_triple(p, phi)):
             (k,) = np.nonzero(np.abs(vals - target) < 1e-6)[0]
             overlap = abs(np.vdot(vecs[:, k], state.amps)) ** 2
             assert abs(overlap - 1.0) < 1e-10
 
 
 def test_perturbed_operator_breaks_verification():
-    bad = j3_operator(0.5, 0.0).matrix.copy()
+    bad = j3_operator(0.5, 0.0)
     bad[0, 0] += 1e-6
-    report = verify_eigenbasis(0.5, 0.0, operator=OperatorMatrix(bad, "field"))
+    report = verify_eigenbasis(0.5, 0.0, operator=bad)
     assert report.max_residual >= 1e-12
 
 
 def test_verify_requires_three_levels():
-    with pytest.raises(ValueError):
-        verify_eigenbasis(0.5, 0.0, operator=OperatorMatrix(np.eye(2), "field"))
+    # eigvalsh reads one triangle only: a NaN above the diagonal still gives
+    # the spectrum (1, 0, -1), so a non-finite operator is refused up front
+    upper_nan, inf_entry = j3_operator(0.5, 0.0), j3_operator(0.5, 0.0)
+    upper_nan[0, 1] = np.nan
+    inf_entry[0, 0] = np.inf
+    for bad in (np.eye(2), np.zeros((2, 3)), np.full((3, 3), np.nan), upper_nan, inf_entry):
+        with pytest.raises(ValueError):
+            verify_eigenbasis(0.5, 0.0, operator=bad)
+
+
+def test_operators_are_fresh_arrays():
+    # a caller may edit what it gets (verify-basis nudges an entry) without
+    # touching the next call's result
+    first = j3_operator(0.5, 0.0)
+    first[0, 0] += 1.0
+    assert j3_operator(0.5, 0.0)[0, 0] == 0.0

@@ -266,6 +266,9 @@ def test_verify_basis_failure_paths(capsys):
     assert main(["verify-basis", "--p", "0.5", "--perturb", "1e-6"]) == 4
     capsys.readouterr()
     assert main(["verify-basis", "--p", "1.2"]) == 2
+    # a non-finite operator is refused, not diagonalized into a plausible spectrum
+    for bad in ("nan", "inf"):
+        assert main(["verify-basis", "--p", "0.5", "--perturb", bad]) == 2
 
 
 def test_j3_spectrum_output(capsys):
@@ -308,13 +311,16 @@ def test_feasibility_derived_from_coupling(capsys):
     assert report["pass"] is True
 
 
-def test_feasibility_input_errors():
+def test_feasibility_input_errors(capsys):
     assert main(["feasibility", "--tau-at", "1", "--tau-cav", "1"]) == 2
     assert main(["feasibility", "--tau-at", "1", "--tau-cav", "1",
                  "--g", "1000", "--interaction-times", "1e-4"]) == 2
     assert main(["feasibility", "--tau-at", "1", "--tau-cav", "1",
                  "--interaction-times", "1e-4"]) == 2  # no duration
-    assert main(["feasibility", "--tau-at", "1", "--tau-cav", "1", "--g", "0"]) == 2
+    capsys.readouterr()
+    for g in ("0", "-1", "inf", "nan"):  # refused before the division by g
+        assert main(["feasibility", "--tau-at", "1", "--tau-cav", "1", "--g", g]) == 2
+        assert "--g must be positive and finite" in capsys.readouterr().err
     with pytest.raises(SystemExit) as err:
         main(["feasibility", "--tau-at", "1", "--tau-cav", "1", "--g", "1000", "--m2", "99"])
     assert err.value.code == 2
@@ -337,15 +343,19 @@ def test_pipeline_takes_no_coupling(tmp_path):
         assert main([command, "--config", str(cfg)]) == 2
 
 
-def test_flags_are_spelled_in_full():
+def test_flags_are_spelled_in_full(capsys):
     # no prefix matching: --jit is not --jitter, and a removed flag that is a
-    # prefix of a kept one (--g of --gt1/--gt2) stays an error
+    # prefix of a kept one (--g of --gt1/--gt2) stays an error, reported with
+    # the subcommand's usage line so that the user sees its flags
     for argv in (["error-sweep", "--p=1", "--jit=1e-2", "--samples=100"],
                  ["error-sweep", "--p", "1", "--jitter", "1e-2", "--sam", "100"],
                  ["generate", "--g=2"]):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith(f"usage: gbscavity {argv[0]} ")
+        assert f"gbscavity {argv[0]}: error: unrecognized arguments: " in stderr
 
 
 def test_missing_subcommand_is_usage_error():

@@ -174,12 +174,16 @@ def test_serialization_round_trip_is_bit_exact():
     rng = np.random.default_rng(99)
     field = random_field(rng, 4)
     joint = tensor(AtomState(down=0.6, up=0.8), field)
-    for state in (field, joint):
+    # signed zeros and subnormals in both parts; np.array_equal takes -0.0 for
+    # 0.0, so the buffers are compared byte for byte
+    edge = FieldState(np.array([0.6 + 0.8j, complex(-0.0, 5e-324), complex(5e-324, -0.0),
+                                complex(-5e-324, -0.0)]), 3)
+    for state in (field, joint, edge):
         blob = json.dumps(state_to_dict(state))
         back = state_from_dict(json.loads(blob))
         assert type(back) is type(state)
         assert back.n_max == state.n_max
-        assert np.array_equal(back.amps, state.amps)
+        assert back.amps.tobytes() == state.amps.tobytes()
 
 
 def test_serialization_rejects_unknown_basis():
