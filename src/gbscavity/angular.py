@@ -70,21 +70,9 @@ class EigenbasisReport:
         return max(self.residuals)
 
 
-def verify_eigenbasis(p: float, phi: float, operator: np.ndarray | None = None) -> EigenbasisReport:
-    """Check the analytic eigenpairs of the pseudo angular momentum.
-
-    An alternative finite 3x3 `operator` may be supplied for diagnostics; by
-    default the observable is j3_operator(p, phi).
-    """
-    if operator is None:
-        op = j3_operator(p, phi)
-    else:
-        op = np.asarray(operator, dtype=np.complex128)
-        if op.shape != (3, 3):
-            raise ValueError(f"verify_eigenbasis needs a 3x3 operator, got {op.shape}")
-        # eigvalsh reads one triangle: a NaN in the other gives a clean spectrum
-        if not np.all(np.isfinite(op)):
-            raise ValueError("operator entries must be finite")
+def verify_eigenbasis(p: float, phi: float) -> EigenbasisReport:
+    """Check the analytic eigenpairs of j3_operator(p, phi)."""
+    op = j3_operator(p, phi)
     residuals = tuple(
         float(np.linalg.norm(op @ state.amps - lam * state.amps))
         for state, lam in zip(spin1_triple(p, phi), (1.0, 0.0, -1.0))

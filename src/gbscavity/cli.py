@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .angular import j3_operator, verify_eigenbasis
+from .angular import verify_eigenbasis
 from .constants import ATOL_ALGEBRA, DEFAULT_N_MAX, M2_MAX, M2_MIN
 from .dynamics import TruncationLeakError
 from .protocol import (
@@ -294,12 +294,10 @@ def cmd_error_sweep(args) -> int:
 
 
 def cmd_verify_basis(args) -> int:
-    matrix = j3_operator(args.p, args.phi)
-    matrix[0, 0] += args.perturb  # test hook: nudge one matrix element
-    report = verify_eigenbasis(args.p, args.phi, operator=matrix)
+    report = verify_eigenbasis(args.p, args.phi)
     ok = report.max_residual < ATOL_ALGEBRA
 
-    digest_obj = {"p": args.p, "phi": args.phi, "perturb": args.perturb}
+    digest_obj = {"p": args.p, "phi": args.phi}
     json_obj = {
         "p": args.p, "phi": args.phi,
         "eigenvalues": list(report.eigenvalues),
@@ -419,11 +417,9 @@ def _build_parser() -> argparse.ArgumentParser:
     err.add_argument("--seed", type=int, help="Monte Carlo seed")
     err.add_argument("--detector-efficiency", type=float,
                      help="Bernoulli thinning of detected samples")
-    err.add_argument("--no-t1-jitter", action="store_true", help="perturb only the second transit")
+    err.add_argument("--no-t1-jitter", action="store_true", help="jitter only the second transit")
 
-    ver = add("verify-basis", cmd_verify_basis,
-              "check the pseudo-angular-momentum eigenbasis", point)
-    ver.add_argument("--perturb", type=float, default=0.0, help=argparse.SUPPRESS)
+    add("verify-basis", cmd_verify_basis, "check the pseudo-angular-momentum eigenbasis", point)
 
     add("j3-spectrum", cmd_j3_spectrum, "spectrum of the pseudo angular momentum", point)
 
@@ -444,11 +440,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # unknown flags are reported by the chosen subcommand, with its usage line
-    args, extras = _build_parser().parse_known_args(argv)
-    if extras:
-        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    del args.parser  # let the parsers go before the command runs
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser()
+    args, extras = parser.parse_known_args(argv)
+    if extras:  # a flag before the subcommand is the top-level parser's; others, the subcommand's
+        owner = parser if argv.index(args.command) else args.parser
+        owner.error(f"unrecognized arguments: {' '.join(extras)}")
+    del args.parser, parser  # let the parsers go before the command runs
     try:
         return args.func(args)
     except (TruncationLeakError, ValueError, TypeError, KeyError, OSError, MemoryError) as exc:

@@ -43,11 +43,11 @@ def _check_truncation(joint: JointState):
         )
 
 
-def jc_closed_form(joint: JointState, g: float, t: float) -> JointState:
-    """Resonant evolution for time t by the closed-form transition rules:
+def jc_closed_form(joint: JointState, gt: float) -> JointState:
+    """Resonant evolution over the Rabi angle gt by the closed-form rules:
 
-        |up, n>   -> cos(g sqrt(n+1) t) |up, n> - sin(g sqrt(n+1) t) |down, n+1>
-        |down, n> -> cos(g sqrt(n) t) |down, n> + sin(g sqrt(n) t) |up, n-1>
+        |up, n>   -> cos(gt sqrt(n+1)) |up, n> - sin(gt sqrt(n+1)) |down, n+1>
+        |down, n> -> cos(gt sqrt(n)) |down, n> + sin(gt sqrt(n)) |up, n-1>
 
     |down, 0> is a fixed point.  Linear, unitary, and it conserves the total
     excitation number.
@@ -56,8 +56,8 @@ def jc_closed_form(joint: JointState, g: float, t: float) -> JointState:
     d = joint.n_max + 1
     down, up = joint.down_amps, joint.up_amps
     ns = np.arange(d)
-    theta_down = g * t * np.sqrt(ns)
-    theta_up = g * t * np.sqrt(ns + 1.0)
+    theta_down = gt * np.sqrt(ns)
+    theta_up = gt * np.sqrt(ns + 1.0)
     out_down = np.cos(theta_down) * down
     out_up = np.cos(theta_up) * up
     out_up[: d - 1] += np.sin(theta_down[1:]) * down[1:]
@@ -67,7 +67,7 @@ def jc_closed_form(joint: JointState, g: float, t: float) -> JointState:
 
 def jc_hamiltonian(n_max: int) -> np.ndarray:
     """Unit-coupling generator i (sigma+ a - sigma- a†) on the joint basis;
-    evolution for g*t is exp(-i H g t)."""
+    evolution over gt is exp(-i H gt)."""
     if n_max < 1:
         raise ValueError("jc_hamiltonian needs n_max >= 1")
     d = n_max + 1
@@ -87,16 +87,16 @@ def _unit_coupling_eigh(n_max: int):
     return vals, vecs
 
 
-def jc_expm_evolve(joint: JointState, g: float, t: float) -> JointState:
-    """Evolution by exp(-i H g t), H = jc_hamiltonian(n_max), via the spectrum of H.
+def jc_expm_evolve(joint: JointState, gt: float) -> JointState:
+    """Evolution by exp(-i H gt), H = jc_hamiltonian(n_max), via the spectrum of H.
 
     Independent numerical route used to cross-check jc_closed_form.  The
     eigendecomposition of the unit-coupling generator is cached per n_max
-    (read-only, safe under concurrent readers) and rescaled by g*t.
+    (read-only, safe under concurrent readers) and rescaled by gt.
     """
     _check_truncation(joint)
     vals, vecs = _unit_coupling_eigh(joint.n_max)
-    phases = np.exp(-1j * vals * (g * t))
+    phases = np.exp(-1j * vals * gt)
     out = vecs @ (phases * (vecs.conj().T @ joint.amps))
     return JointState(out, joint.n_max)
 

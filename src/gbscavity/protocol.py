@@ -181,8 +181,8 @@ class DistinguishResult:
 class ErrorModel:
     """Monte Carlo model for relative interaction-time jitter.
 
-    Both transit times are perturbed as T (1 + eps) with independent
-    eps ~ Normal(0, rel_timing_jitter); set jitter_t1 False to perturb only
+    Both transit times are jittered as T (1 + eps) with independent
+    eps ~ Normal(0, rel_timing_jitter); set jitter_t1 False to jitter only
     the second transit.  Detection is Bernoulli-thinned at
     detector_efficiency, and no-click samples drop out of the statistics.
     """
@@ -301,7 +301,7 @@ def run_generation(config: GenerationConfig, *, gt1: float | None = None,
 
     atom1 = ramsey_prepare(config.p, config.phi1)
     joint = tensor(atom1, make_fock(0, n_max))
-    joint = jc_closed_form(joint, 1.0, gt1)
+    joint = jc_closed_form(joint, gt1)
     field_raw, p_first = project_atom(joint, "down")
     if p_first <= 0.0:
         raise ValueError("atom 1 never exits in |down>; cannot condition")
@@ -311,7 +311,7 @@ def run_generation(config: GenerationConfig, *, gt1: float | None = None,
     field = free_field_evolve(field, config.omega, config.dt_gap)
     atom2 = ramsey_prepare(config.p, config.phi_effective)
     joint2 = tensor(atom2, field)
-    joint2 = jc_closed_form(joint2, 1.0, gt2)
+    joint2 = jc_closed_form(joint2, gt2)
     leakage = _require_no_leak(joint2, "the second transit")
 
     field_down, p_second = project_atom(joint2, "down")
@@ -403,7 +403,7 @@ def run_measurement(field: FieldState, p: float, phi: float) -> MeasurementRepor
     if not field.is_normalized():
         raise ValueError("run_measurement requires a normalized field")
     joint = tensor(AtomState(down=1.0, up=0.0), field)
-    joint = jc_closed_form(joint, 1.0, GT_PROBE)
+    joint = jc_closed_form(joint, GT_PROBE)
 
     m = ramsey_decode_matrix(p, phi)
     down = m[0, 0] * joint.down_amps + m[0, 1] * joint.up_amps

@@ -99,8 +99,8 @@ def test_criterion_5_oracle_equivalence():
     for k in range(100):
         state = _random_joint(rng)
         gt = float(rng.uniform(0.1, 100.0))
-        closed = gauge_fix(jc_closed_form(state, 1.0, gt))
-        oracle = gauge_fix(jc_expm_evolve(state, 1.0, gt))
+        closed = gauge_fix(jc_closed_form(state, gt))
+        oracle = gauge_fix(jc_expm_evolve(state, gt))
         worst = float(np.max(np.abs(closed.amps - oracle.amps)))
         if worst > 1e-10:
             failures.append(f"state {k}, gt={gt:.3f}: max dev {worst!r}")
@@ -149,7 +149,7 @@ def test_criterion_8_invariant_suite():
     # unitarity of the closed-form evolution
     for _ in range(20):
         state = _random_joint(rng)
-        out = jc_closed_form(state, 1.0, float(rng.uniform(0.1, 50.0)))
+        out = jc_closed_form(state, float(rng.uniform(0.1, 50.0)))
         if abs(np.linalg.norm(out.amps) - 1.0) > 1e-12:
             failures.append("unitarity violated")
             break
@@ -159,7 +159,7 @@ def test_criterion_8_invariant_suite():
     for _ in range(20):
         state = _random_joint(rng)
         before = np.vdot(state.amps, op @ state.amps).real
-        evolved = jc_closed_form(state, 1.0, float(rng.uniform(0.1, 50.0)))
+        evolved = jc_closed_form(state, float(rng.uniform(0.1, 50.0)))
         after = np.vdot(evolved.amps, op @ evolved.amps).real
         if abs(before - after) > 1e-10:
             failures.append("excitation conservation violated")

@@ -77,7 +77,7 @@ FLAGS = {
     "measure": ("--gbs", "--state-file", "--n-max", "--decode-p", "--decode-phi"),
     "optimize-timing": ("--gt-min", "--gt-max"),
     "error-sweep": PIPELINE + ("--jitter", "--samples", "--seed", "--detector-efficiency"),
-    "verify-basis": ("--p", "--phi", "--perturb"),
+    "verify-basis": ("--p", "--phi"),
     "j3-spectrum": ("--p", "--phi"),
     "feasibility": ("--tau-at", "--tau-cav", "--interaction-times", "--sequence-duration",
                     "--g", "--dt-gap", "--m2", "--units"),

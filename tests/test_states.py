@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gbscavity import (
     ATOL_ALGEBRA,
@@ -184,6 +186,30 @@ def test_serialization_round_trip_is_bit_exact():
         assert type(back) is type(state)
         assert back.n_max == state.n_max
         assert back.amps.tobytes() == state.amps.tobytes()
+
+
+@st.composite
+def serializable_states(draw):
+    """A FieldState or JointState, n_max in [0, 8], with any finite parts."""
+    kind = draw(st.sampled_from((FieldState, JointState)))
+    n_max = draw(st.integers(0, 8))
+    size = (n_max + 1) * (1 if kind is FieldState else 2)
+    part = st.lists(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+                    min_size=size, max_size=size)
+    amps = np.empty(size, dtype=np.complex128)
+    amps.real, amps.imag = draw(part), draw(part)  # keeps -0.0, unlike re + 1j * im
+    return kind(amps, n_max)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(serializable_states())
+@example(FieldState(np.array([complex(-0.0, 5e-324)]), 0))
+@example(JointState(np.array([complex(-5e-324, -0.0), complex(1.7e308, -2.2e-308)]), 0))
+def test_serialization_round_trip_property(state):
+    back = state_from_dict(json.loads(json.dumps(state_to_dict(state))))
+    assert type(back) is type(state)
+    assert back.n_max == state.n_max
+    assert back.amps.tobytes() == state.amps.tobytes()
 
 
 def test_serialization_rejects_unknown_basis():
