@@ -7,6 +7,7 @@ triple as eigenbasis, with eigenvalues +1, 0, -1.  Operators are plain
 complex 3x3 arrays on that subspace, a fresh one per call.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,13 +38,19 @@ def hp_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return plus, minus, zero
 
 
+@functools.cache
+def _ladder() -> tuple[np.ndarray, ...]:
+    """hp_operators() built on first use, not at import; read-only views, as calls share them."""
+    return tuple(np.broadcast_to(op, op.shape) for op in hp_operators())
+
+
 def j3_operator(p: float, phi: float) -> np.ndarray:
     """Hermitian observable sqrt(p(1-p)) (e^(-i phi) J+ + e^(i phi) J-) - (2p-1) J0."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
     if not math.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi}")
-    plus, minus, zero = hp_operators()
+    plus, minus, zero = _ladder()
     return math.sqrt(p * (1.0 - p)) * (
         np.exp(-1j * phi) * plus + np.exp(1j * phi) * minus
     ) - (2.0 * p - 1.0) * zero

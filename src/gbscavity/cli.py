@@ -275,7 +275,7 @@ def cmd_error_sweep(args) -> int:
             "quantiles": rpt.quantiles,
         })
         header = "sample,eps_t1,eps_t2,fidelity,p2,detected\n"
-        extra_files[f"mc_samples_j{jit:g}.csv"] = header + "".join(
+        extra_files[f"mc_samples_j{jit!r}.csv"] = header + "".join(
             [_SAMPLE_CSV_ROW % row for row in rpt.samples.tolist()])
 
     digest_obj = {"config": dataclasses.asdict(cfg), "jitters": jitters, **model_dict}
@@ -341,6 +341,8 @@ def cmd_feasibility(args) -> int:
             raise ValueError(f"--g must be positive and finite, got {args.g}")
         times = (GT_FIRST / args.g, gt_second(args.m2) / args.g)
         gap = args.dt_gap or 0.0
+        if not (math.isfinite(gap) and gap >= 0.0):
+            raise ValueError(f"--dt-gap must be non-negative and finite, got {gap}")
         sequence = (args.sequence_duration if args.sequence_duration is not None
                     else times[0] + gap + times[1])
     inp = FeasibilityInput(tau_at=args.tau_at, tau_cav=args.tau_cav,

@@ -33,12 +33,12 @@ class TruncationLeakError(RuntimeError):
     """Amplitude would be pushed past the highest retained photon number."""
 
 
-def _check_truncation(joint: JointState):
+def _check_truncation(up: np.ndarray):
     # |up, n_max> couples to |down, n_max + 1>, which the truncation cannot hold.
-    top = abs(joint.up_amps[-1])
+    top = abs(up[-1])
     if top > ATOL_ALGEBRA:
         raise TruncationLeakError(
-            f"|up, n_max={joint.n_max}> carries amplitude {top:.3e}; "
+            f"|up, n_max={up.size - 1}> carries amplitude {top:.3e}; "
             "its evolution would leave the truncated space"
         )
 
@@ -52,9 +52,13 @@ def jc_closed_form(joint: JointState, gt: float) -> JointState:
     |down, 0> is a fixed point.  Linear, unitary, and it conserves the total
     excitation number.
     """
-    _check_truncation(joint)
-    d = joint.n_max + 1
-    down, up = joint.down_amps, joint.up_amps
+    return JointState(np.concatenate(_jc_blocks(joint.down_amps, joint.up_amps, gt)), joint.n_max)
+
+
+def _jc_blocks(down: np.ndarray, up: np.ndarray, gt: float) -> tuple[np.ndarray, np.ndarray]:
+    """jc_closed_form on the (down, up) amplitude blocks; returns new blocks."""
+    _check_truncation(up)
+    d = down.size
     ns = np.arange(d)
     theta_down = gt * np.sqrt(ns)
     theta_up = gt * np.sqrt(ns + 1.0)
@@ -62,7 +66,7 @@ def jc_closed_form(joint: JointState, gt: float) -> JointState:
     out_up = np.cos(theta_up) * up
     out_up[: d - 1] += np.sin(theta_down[1:]) * down[1:]
     out_down[1:] -= np.sin(theta_up[: d - 1]) * up[: d - 1]
-    return JointState(np.concatenate([out_down, out_up]), joint.n_max)
+    return out_down, out_up
 
 
 def jc_hamiltonian(n_max: int) -> np.ndarray:
@@ -94,7 +98,7 @@ def jc_expm_evolve(joint: JointState, gt: float) -> JointState:
     eigendecomposition of the unit-coupling generator is cached per n_max
     (read-only, safe under concurrent readers) and rescaled by gt.
     """
-    _check_truncation(joint)
+    _check_truncation(joint.up_amps)
     vals, vecs = _unit_coupling_eigh(joint.n_max)
     phases = np.exp(-1j * vals * gt)
     out = vecs @ (phases * (vecs.conj().T @ joint.amps))
@@ -107,15 +111,24 @@ def free_field_evolve(field: FieldState, omega: float, dt: float) -> FieldState:
     On a binomial state this shifts the phase parameter: (N, p, phi) goes to
     (N, p, phi - omega dt).
     """
-    ns = np.arange(field.n_max + 1)
-    return FieldState(field.amps * np.exp(-1j * ns * omega * dt), field.n_max)
+    return FieldState(field.amps * _free_phases(field.n_max, omega, dt), field.n_max)
+
+
+def _free_phases(n_max: int, omega: float, dt: float) -> np.ndarray:
+    """The factors e^(-i n omega dt) of free_field_evolve, n = 0..n_max."""
+    return np.exp(-1j * np.arange(n_max + 1) * omega * dt)
 
 
 def ramsey_prepare(p: float, phi_k: float) -> AtomState:
     """Atom superposition sqrt(p) |up> + e^(i phi_k) sqrt(1-p) |down>."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
-    return AtomState(down=np.exp(1j * phi_k) * math.sqrt(1.0 - p), up=math.sqrt(p))
+    return AtomState(*_ramsey_amps(p, phi_k))
+
+
+def _ramsey_amps(p: float, phi_k: float) -> tuple[complex, complex]:
+    """The (down, up) amplitudes of ramsey_prepare, as AtomState stores them."""
+    return complex(np.exp(1j * phi_k) * math.sqrt(1.0 - p)), complex(math.sqrt(p))
 
 
 def ramsey_decode_matrix(p: float, phi: float) -> np.ndarray:

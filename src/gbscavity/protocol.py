@@ -25,22 +25,12 @@ from .constants import (
 )
 from .dynamics import (
     TruncationLeakError,
-    free_field_evolve,
-    jc_closed_form,
+    _free_phases,
+    _jc_blocks,
+    _ramsey_amps,
     ramsey_decode_matrix,
-    ramsey_prepare,
 )
-from .states import (
-    AtomState,
-    FieldState,
-    GBSParams,
-    JointState,
-    fidelity,
-    make_fock,
-    make_gbs,
-    project_atom,
-    tensor,
-)
+from .states import FieldState, GBSParams, JointState, fidelity, make_gbs
 
 __all__ = [
     "GT_FIRST",
@@ -259,31 +249,23 @@ class FeasibilityReport:
     margins: dict
 
 
-def _normalized_field(field: FieldState, prob: float) -> FieldState:
-    if prob <= 0.0:
-        return field  # zero-probability branch: keep the zero vector
-    return FieldState(field.amps / math.sqrt(prob), field.n_max)
-
-
-def _leak_above_cutoff(state) -> float:
+def _require_no_leak(where: str, *blocks: np.ndarray) -> float:
     """Population above the highest photon number the protocol may reach."""
     cut = FIELD_OCCUPANCY_CUTOFF + 1
-    if isinstance(state, JointState):
-        return float(
-            np.sum(np.abs(state.down_amps[cut:]) ** 2)
-            + np.sum(np.abs(state.up_amps[cut:]) ** 2)
-        )
-    return float(np.sum(np.abs(state.amps[cut:]) ** 2))
-
-
-def _require_no_leak(state, where: str) -> float:
-    leak = _leak_above_cutoff(state)
+    leak = 0.0
+    for block in blocks:
+        leak += np.sum(np.abs(block[cut:]) ** 2)
     if leak >= ATOL_ALGEBRA:
         raise TruncationLeakError(
             f"population {leak:.3e} above photon number "
             f"{FIELD_OCCUPANCY_CUTOFF} after {where}"
         )
-    return leak
+    return float(leak)
+
+
+def _post_field(block: np.ndarray, prob: float) -> FieldState:
+    """Normalized field left by an atomic outcome; a zero-probability branch stays zero."""
+    return FieldState(block if prob <= 0.0 else block / math.sqrt(prob), block.size - 1)
 
 
 def run_generation(config: GenerationConfig, *, gt1: float | None = None,
@@ -293,36 +275,35 @@ def run_generation(config: GenerationConfig, *, gt1: float | None = None,
     At the nominal times atom 1 exits in |down> with certainty; when gt1 is
     overridden (timing jitter), the run conditions on that exit as well and
     folds its probability into p2.  gt1 and gt2 are dimensionless g*t
-    overrides for the two transits.
+    overrides for the two transits.  Only the returned states are built.
     """
     gt1 = GT_FIRST if gt1 is None else gt1
     gt2 = gt_second(config.m2) if gt2 is None else gt2
     n_max = config.n_max
 
-    atom1 = ramsey_prepare(config.p, config.phi1)
-    joint = tensor(atom1, make_fock(0, n_max))
-    joint = jc_closed_form(joint, gt1)
-    field_raw, p_first = project_atom(joint, "down")
+    vacuum = np.eye(1, n_max + 1, dtype=np.complex128)[0]  # make_fock(0, n_max).amps
+    atom_down, atom_up = _ramsey_amps(config.p, config.phi1)
+    down, _ = _jc_blocks(atom_down * vacuum, atom_up * vacuum, gt1)
+    p_first = float(np.linalg.norm(down) ** 2)
     if p_first <= 0.0:
         raise ValueError("atom 1 never exits in |down>; cannot condition")
-    field = _normalized_field(field_raw, p_first)
-    _require_no_leak(field, "the first transit")
+    field = down / math.sqrt(p_first)
+    _require_no_leak("the first transit", field)
 
-    field = free_field_evolve(field, config.omega, config.dt_gap)
-    atom2 = ramsey_prepare(config.p, config.phi_effective)
-    joint2 = tensor(atom2, field)
-    joint2 = jc_closed_form(joint2, gt2)
-    leakage = _require_no_leak(joint2, "the second transit")
+    field = field * _free_phases(n_max, config.omega, config.dt_gap)
+    atom_down, atom_up = _ramsey_amps(config.p, config.phi_effective)
+    down, up = _jc_blocks(atom_down * field, atom_up * field, gt2)
+    leakage = _require_no_leak("the second transit", down, up)
 
-    field_down, p_second = project_atom(joint2, "down")
-    post = _normalized_field(field_down, p_second)
+    p_second = float(np.linalg.norm(down) ** 2)
+    post = _post_field(down, p_second)
     target = GBSParams(2, config.p, math.pi - config.phi_effective)
     return GenerationReport(
         post_selected_field=post,
         p2=p_first * p_second,
         fidelity_to_target=fidelity(post, make_gbs(target, n_max)),
         target=target,
-        joint_before_projection=joint2,
+        joint_before_projection=JointState(np.concatenate([down, up]), n_max),
         leakage=leakage,
     )
 
@@ -402,21 +383,18 @@ def run_measurement(field: FieldState, p: float, phi: float) -> MeasurementRepor
     """
     if not field.is_normalized():
         raise ValueError("run_measurement requires a normalized field")
-    joint = tensor(AtomState(down=1.0, up=0.0), field)
-    joint = jc_closed_form(joint, GT_PROBE)
+    # probe (1, 0) on (|down>, |up>) times the field, as tensor() forms it: same zero signs
+    down, up = _jc_blocks((1 + 0j) * field.amps, 0j * field.amps, GT_PROBE)
 
     m = ramsey_decode_matrix(p, phi)
-    down = m[0, 0] * joint.down_amps + m[0, 1] * joint.up_amps
-    up = m[1, 0] * joint.down_amps + m[1, 1] * joint.up_amps
-    decoded = JointState(np.concatenate([down, up]), joint.n_max)
-
-    f_down, prob_down = project_atom(decoded, "down")
-    f_up, prob_up = project_atom(decoded, "up")
+    down, up = m[0, 0] * down + m[0, 1] * up, m[1, 0] * down + m[1, 1] * up
+    prob_down = float(np.linalg.norm(down) ** 2)
+    prob_up = float(np.linalg.norm(up) ** 2)
     return MeasurementReport(
         prob_up=prob_up,
         prob_down=prob_down,
-        post_field_up=_normalized_field(f_up, prob_up),
-        post_field_down=_normalized_field(f_down, prob_down),
+        post_field_up=_post_field(up, prob_up),
+        post_field_down=_post_field(down, prob_down),
     )
 
 

@@ -106,3 +106,9 @@ def test_operators_are_fresh_arrays():
     first = j3_operator(0.5, 0.0)
     first[0, 0] += 1.0
     assert j3_operator(0.5, 0.0)[0, 0] == 0.0
+    plus, _, zero = hp_operators()  # j3_operator keeps its own read-only copies
+    plus[0, 1] += 1.0
+    zero[0, 0] += 1.0
+    assert hp_operators()[0][0, 1] == math.sqrt(2.0)
+    assert j3_operator(0.5, 0.0)[0, 1] == 0.5 * math.sqrt(2.0)
+    assert j3_operator(0.0, 0.0)[0, 0] == 1.0

@@ -196,7 +196,7 @@ def test_error_sweep_rows_and_determinism(tmp_path, capsys):
     per_sample = (out_a / "mc_samples_j0.01.csv").read_text().splitlines()
     assert per_sample[0] == "sample,eps_t1,eps_t2,fidelity,p2,detected"
     assert len(per_sample) == 151
-    assert (out_a / "mc_samples_j0.csv").exists()
+    assert (out_a / "mc_samples_j0.0.csv").exists()  # named by repr(jitter)
     # sample i draws from its own stream (seed, i): eps_t1, eps_t2, then the
     # detector roll; 17 significant digits give the doubles back exactly
     cfg = GenerationConfig(p=1.0)
@@ -214,6 +214,20 @@ def test_error_sweep_rows_and_determinism(tmp_path, capsys):
     manifest = json.loads((out_a / "manifest.json").read_text())
     assert manifest["seed"] == 7
     assert manifest["command"] == "error-sweep"
+
+
+def test_error_sweep_keeps_one_sample_file_per_jitter(tmp_path, capsys):
+    # both jitters print as 0.0100001 at 6 significant digits; repr keeps them apart
+    out = tmp_path / "run"
+    assert main(["error-sweep", "--p", "1.0", "--jitter", "0.0100001,0.01000011",
+                 "--samples", "100", "--out", str(out)]) == 0
+    capsys.readouterr()
+    names = ["mc_samples_j0.0100001.csv", "mc_samples_j0.01000011.csv"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [n for n in manifest["outputs"] if n.startswith("mc_samples_")] == names
+    first, second = ((out / n).read_text() for n in names)
+    assert first != second
+    assert len(first.splitlines()) == len(second.splitlines()) == 101
 
 
 def test_error_sweep_sample_floor():
@@ -306,6 +320,12 @@ def test_feasibility_derived_from_coupling(capsys):
     assert abs(times[1] - 41.0 * math.pi / 4.0 / 1000.0) < 1e-15
     assert abs(report["inputs"]["sequence_duration"] - sum(times)) < 1e-15
     assert report["pass"] is True
+    for gap in (0.0, 1e-4):  # the gap between the atoms joins the derived sequence
+        code, report = run_json(capsys, [
+            "feasibility", "--tau-at", "1", "--tau-cav", "1", "--g", "1000", f"--dt-gap={gap}",
+        ])
+        assert code == 0
+        assert report["inputs"]["sequence_duration"] == times[0] + gap + times[1]
 
 
 def test_feasibility_input_errors(capsys):
@@ -318,6 +338,14 @@ def test_feasibility_input_errors(capsys):
     for g in ("0", "-1", "inf", "nan"):  # refused before the division by g
         assert main(["feasibility", "--tau-at", "1", "--tau-cav", "1", "--g", g]) == 2
         assert "--g must be positive and finite" in capsys.readouterr().err
+    # a negative gap would shorten the derived sequence below its own transits
+    for gap in ("-1e-4", "-inf", "inf", "nan"):
+        assert main(["feasibility", "--tau-at", "1e-2", "--tau-cav", "1e-1",
+                     "--g", "1e5", f"--dt-gap={gap}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: --dt-gap must be non-negative and finite, got {float(gap)}"]
     with pytest.raises(SystemExit) as err:
         main(["feasibility", "--tau-at", "1", "--tau-cav", "1", "--g", "1000", "--m2", "99"])
     assert err.value.code == 2
