@@ -13,11 +13,14 @@ leak, 4 verification failure.
 import argparse
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .angular import verify_eigenbasis
@@ -48,8 +51,6 @@ _CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(GenerationConfig))
 _MODEL_KEYS = tuple(f.name for f in dataclasses.fields(ErrorModel))
 _SWEEP_CSV_COLUMNS = ("jitter", "delta_exp", "mean_infidelity", "std_infidelity",
                       "mean_delivered_infidelity", "mean_p2", "samples_used")
-# one per-sample record: index, eps_t1, eps_t2, fidelity, p2, detected
-_SAMPLE_CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%d\n"
 
 
 def _num(x: float) -> str:
@@ -74,9 +75,8 @@ def _csv(columns, rows) -> str:
 
 def _deliver(args, digest_obj, json_obj, human_text: str, csv_text: str | None = None,
              extra_files: dict | None = None) -> int:
-    """Render the selected format, write the --out files, then print, so that
-    a format the command lacks fails before any file is written.  The manifest
-    records the seed of the digested configuration, if it has one."""
+    """Render the format, write the --out files (str as UTF-8, bytes raw) and a manifest
+    with the digested config's seed, then print: a missing format writes nothing."""
     command = args.command
     report = json.dumps(json_obj, indent=2) + "\n"
     rendered = {"json": report, "csv": csv_text, "text": human_text}[args.format]
@@ -100,8 +100,9 @@ def _deliver(args, digest_obj, json_obj, human_text: str, csv_text: str | None =
             "outputs": sorted(files),
         }
         files["manifest.json"] = json.dumps(manifest, indent=2) + "\n"
-        for name, text in files.items():  # write, then rename: no half-written files
-            (out / f"{name}.tmp").write_text(text, encoding="utf-8")
+        for name, content in files.items():  # write, then rename: no half-written files
+            data = content if isinstance(content, bytes) else content.encode("utf-8")
+            (out / f"{name}.tmp").write_bytes(data)
             os.replace(out / f"{name}.tmp", out / name)
 
     try:
@@ -142,8 +143,6 @@ def cmd_generate(args) -> int:
     cfg, _ = _resolve_config(args)
     gt1 = GT_FIRST if args.gt1 is None else args.gt1
     gt2 = gt_second(cfg.m2) if args.gt2 is None else args.gt2
-    if not (math.isfinite(gt1) and math.isfinite(gt2)):
-        raise ValueError("--gt1 and --gt2 must be finite")
     report = run_generation(cfg, gt1=gt1, gt2=gt2)
 
     cfg_dict = {**dataclasses.asdict(cfg), "gt1": gt1, "gt2": gt2}
@@ -239,10 +238,8 @@ def cmd_error_sweep(args) -> int:
 
     if args.jitter is not None:
         jitters = [float(s) for s in args.jitter.split(",") if s.strip()]
-    elif "rel_timing_jitter" in model_cfg:
-        jitters = [float(model_cfg["rel_timing_jitter"])]
     else:
-        jitters = [1e-2]
+        jitters = [float(model_cfg.get("rel_timing_jitter", 1e-2))]
     if not jitters:
         raise ValueError("--jitter lists no values")
     # samples and seed go to ErrorModel unconverted: its integer checks reject
@@ -274,9 +271,8 @@ def cmd_error_sweep(args) -> int:
             "samples_used": rpt.samples_used,
             "quantiles": rpt.quantiles,
         })
-        header = "sample,eps_t1,eps_t2,fidelity,p2,detected\n"
-        extra_files[f"mc_samples_j{jit!r}.csv"] = header + "".join(
-            [_SAMPLE_CSV_ROW % row for row in rpt.samples.tolist()])
+        np.save(buf := io.BytesIO(), rpt.samples, allow_pickle=False)  # raw, exact doubles
+        extra_files[f"mc_samples_j{jit!r}.npy"] = buf.getvalue()
 
     digest_obj = {"config": dataclasses.asdict(cfg), "jitters": jitters, **model_dict}
     json_obj = {"config": digest_obj["config"], "model": model_dict, "rows": rows}
@@ -330,6 +326,8 @@ def cmd_j3_spectrum(args) -> int:
 def cmd_feasibility(args) -> int:
     if (args.interaction_times is None) == (args.g is None):
         raise ValueError("feasibility needs exactly one of --interaction-times or --g")
+    if args.dt_gap is not None and (args.g is None or args.sequence_duration is not None):
+        raise ValueError("--dt-gap needs --g and no --sequence-duration: it derives the sequence")
     if args.interaction_times is not None:
         times = tuple(float(s) for s in args.interaction_times.split(",") if s.strip())
         if args.sequence_duration is None:

@@ -280,6 +280,8 @@ def run_generation(config: GenerationConfig, *, gt1: float | None = None,
     gt1 = GT_FIRST if gt1 is None else gt1
     gt2 = gt_second(config.m2) if gt2 is None else gt2
     n_max = config.n_max
+    if not all(math.isfinite(gt * math.sqrt(n_max + 1)) for gt in (gt1, gt2)):
+        raise ValueError(f"Rabi angle g*t*sqrt(n_max + 1) must be finite, got gt1={gt1}, gt2={gt2}")
 
     vacuum = np.eye(1, n_max + 1, dtype=np.complex128)[0]  # make_fock(0, n_max).amps
     atom_down, atom_up = _ramsey_amps(config.p, config.phi1)

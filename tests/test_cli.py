@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import gbscavity
-from gbscavity import GT_FIRST, GenerationConfig, gt_second, run_generation
+from gbscavity import (GT_FIRST, ErrorModel, GenerationConfig, gt_second, monte_carlo_jitter,
+                       run_generation)
 from gbscavity import cli
 from gbscavity.cli import main
 
@@ -159,6 +160,19 @@ def test_optimize_timing_window_errors():
     assert main(["optimize-timing", "--gt-min", "3", "--gt-max", "4"]) == 2
 
 
+def test_generate_rejects_overflowing_rabi_angle(tmp_path, capsys):
+    # 1e308 is finite, but g*t*sqrt(n) is not: one usage error, no numpy
+    # warning (tier-1 turns RuntimeWarnings into failures) and no files
+    for flag in ("--gt1", "--gt2"):
+        out = tmp_path / flag.lstrip("-")
+        assert main(["generate", "--p", "0.5", f"{flag}=1e308", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: Rabi angle g*t*sqrt(n_max + 1) must be finite")
+        assert not out.exists()
+
+
 def test_optimize_timing_window_holds_only_times_inside(capsys):
     code, report = run_json(capsys, ["optimize-timing", "--gt-min", "0.5", "--gt-max", "8"])
     assert code == 0
@@ -193,23 +207,28 @@ def test_error_sweep_rows_and_determinism(tmp_path, capsys):
     assert float(quiet[1]) == 0.0
     assert float(quiet[3]) == 0.0  # zero jitter -> zero spread
 
-    per_sample = (out_a / "mc_samples_j0.01.csv").read_text().splitlines()
-    assert per_sample[0] == "sample,eps_t1,eps_t2,fidelity,p2,detected"
-    assert len(per_sample) == 151
-    assert (out_a / "mc_samples_j0.0.csv").exists()  # named by repr(jitter)
-    # sample i draws from its own stream (seed, i): eps_t1, eps_t2, then the
-    # detector roll; 17 significant digits give the doubles back exactly
+    raw = (out_a / "mc_samples_j0.01.npy").read_bytes()
+    assert raw == (out_b / "mc_samples_j0.01.npy").read_bytes()  # same seed, same bytes
+    per_sample = np.load(out_a / "mc_samples_j0.01.npy", allow_pickle=False)
+    assert per_sample.dtype == np.dtype([("index", "<i8"), ("eps_t1", "<f8"), ("eps_t2", "<f8"),
+                                         ("fidelity", "<f8"), ("p2", "<f8"), ("detected", "|b1")])
+    assert len(per_sample) == 150
+    assert (out_a / "mc_samples_j0.0.npy").exists()  # named by repr(jitter)
+    # the file holds the report's records bit for bit
     cfg = GenerationConfig(p=1.0)
-    for i, line in enumerate(per_sample[1:]):
-        cells = line.split(",")
+    model = ErrorModel(rel_timing_jitter=1e-2, samples=150, seed=7)
+    assert per_sample.tobytes() == monte_carlo_jitter(cfg, model).samples.tobytes()
+    # sample i draws from its own stream (seed, i): eps_t1, eps_t2, then the
+    # detector roll
+    for i, record in enumerate(per_sample):
         rng = np.random.default_rng((7, i))
         eps1, eps2 = rng.normal(0.0, 1e-2, size=2)
-        assert (int(cells[0]), float(cells[1]), float(cells[2])) == (i, eps1, eps2)
-        assert cells[5] == str(int(rng.random() < 1.0))
+        assert (record["index"], record["eps_t1"], record["eps_t2"]) == (i, eps1, eps2)
+        assert record["detected"] == (rng.random() < 1.0)
         report = run_generation(cfg, gt1=GT_FIRST * (1.0 + eps1),
                                 gt2=gt_second(cfg.m2) * (1.0 + eps2))
-        assert abs(float(cells[3]) - report.fidelity_to_target) <= 1e-14
-        assert abs(float(cells[4]) - report.p2) <= 1e-14
+        assert abs(record["fidelity"] - report.fidelity_to_target) <= 1e-14
+        assert abs(record["p2"] - report.p2) <= 1e-14
 
     manifest = json.loads((out_a / "manifest.json").read_text())
     assert manifest["seed"] == 7
@@ -222,12 +241,12 @@ def test_error_sweep_keeps_one_sample_file_per_jitter(tmp_path, capsys):
     assert main(["error-sweep", "--p", "1.0", "--jitter", "0.0100001,0.01000011",
                  "--samples", "100", "--out", str(out)]) == 0
     capsys.readouterr()
-    names = ["mc_samples_j0.0100001.csv", "mc_samples_j0.01000011.csv"]
+    names = ["mc_samples_j0.0100001.npy", "mc_samples_j0.01000011.npy"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert [n for n in manifest["outputs"] if n.startswith("mc_samples_")] == names
-    first, second = ((out / n).read_text() for n in names)
-    assert first != second
-    assert len(first.splitlines()) == len(second.splitlines()) == 101
+    first, second = (np.load(out / n, allow_pickle=False) for n in names)
+    assert first.tobytes() != second.tobytes()
+    assert len(first) == len(second) == 100
 
 
 def test_error_sweep_sample_floor():
@@ -346,6 +365,15 @@ def test_feasibility_input_errors(capsys):
         assert captured.out == ""
         assert captured.err.splitlines() == [
             f"error: --dt-gap must be non-negative and finite, got {float(gap)}"]
+    # --dt-gap only derives the sequence from --g; anywhere else it would be ignored
+    for argv in (["--interaction-times", "1e-5,1e-5", "--sequence-duration", "3e-5"],
+                 ["--g", "1e5", "--sequence-duration", "3e-5"]):
+        assert main(["feasibility", "--tau-at", "1e-2", "--tau-cav", "1e-1", *argv,
+                     "--dt-gap=-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: --dt-gap needs --g and no --sequence-duration: it derives the sequence"]
     with pytest.raises(SystemExit) as err:
         main(["feasibility", "--tau-at", "1", "--tau-cav", "1", "--g", "1000", "--m2", "99"])
     assert err.value.code == 2

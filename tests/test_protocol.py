@@ -140,6 +140,16 @@ def test_generation_truncation_policies():
         run_generation(GenerationConfig(p=1.0), gt1=0.0)
 
 
+def test_generation_rejects_overflowing_rabi_angle():
+    # finite transits whose angle g*t*sqrt(n) overflows, and non-finite ones
+    cfg = GenerationConfig(p=0.5)
+    for gt in (1e308, math.inf, math.nan):
+        with pytest.raises(ValueError, match="Rabi angle"):
+            run_generation(cfg, gt2=gt)
+        with pytest.raises(ValueError, match="Rabi angle"):
+            run_generation(cfg, gt1=gt)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         GenerationConfig(p=1.5)
