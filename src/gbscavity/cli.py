@@ -273,6 +273,7 @@ def cmd_error_sweep(args) -> int:
         })
         np.save(buf := io.BytesIO(), rpt.samples, allow_pickle=False)  # raw, exact doubles
         extra_files[f"mc_samples_j{jit!r}.npy"] = buf.getvalue()
+        del rpt  # its records would otherwise stay alive through the next jitter
 
     digest_obj = {"config": dataclasses.asdict(cfg), "jitters": jitters, **model_dict}
     json_obj = {"config": digest_obj["config"], "model": model_dict, "rows": rows}

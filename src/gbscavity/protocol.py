@@ -11,6 +11,7 @@ probe through the cavity and decodes it in a Ramsey zone, mapping the target
 state and its orthogonal partner to opposite atomic levels.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -318,10 +319,10 @@ def generation_batch(config: GenerationConfig, gt1, gt2):
     to check is |up, n_max> at n_max < 2.  One failing point fails the batch.
     """
     n_max, root_p = config.n_max, math.sqrt(config.p)
-    theta1 = np.asarray(gt1, dtype=float)
-    theta2 = np.asarray(gt2, dtype=float)
-    if not (np.all(np.isfinite(theta1)) and np.all(np.isfinite(theta2))):
-        raise ValueError("transit times must be finite")
+    theta1, theta2 = np.asarray(gt1, dtype=float), np.asarray(gt2, dtype=float)
+    top = np.finfo(float).max / math.sqrt(2.0)  # exactly where the angle g*t*sqrt(2) overflows
+    if not (np.all(np.abs(theta1) <= top) and np.all(np.abs(theta2) <= top)):
+        raise ValueError("Rabi angle g*t*sqrt(2) must be finite for every transit")
     down1 = np.exp(1j * config.phi1) * math.sqrt(1.0 - config.p)
     down2 = np.exp(1j * config.phi_effective) * math.sqrt(1.0 - config.p)
     if n_max == 0 and root_p > ATOL_ALGEBRA:
@@ -512,29 +513,37 @@ def _keyed_seed_words(seed: int, n: int) -> np.ndarray:
     return state.view("<u8").astype(np.uint64, copy=False)
 
 
-def monte_carlo_jitter(config: GenerationConfig, model: ErrorModel) -> JitterReport:
-    """Propagate interaction-time jitter through the generation pipeline.
-
-    Sample i draws from its own RNG stream np.random.default_rng((seed, i)),
-    whose seed words are derived for all samples in one pass; all samples
-    then go through generation_batch at once, and the summary is reduced in
-    sample order, so reports are deterministic for a fixed model.
-    Fidelity quantiles are reported at 5, 25, 50, 75 and 95 percent over the
-    detected samples.
-    """
+@functools.lru_cache(maxsize=1)
+def _keyed_draws(seed: int, n: int):
+    """Read-only standard normals z (n, 2) and rolls (n,): row i is default_rng((seed, i))'s."""
     # numpy.random loads lazily on numpy 2.x; keep it out of `import gbscavity`
     from numpy.random import PCG64, Generator
 
     from ._keyed_streams import SeedWords
 
-    n = model.samples
-    eps = np.empty((n, 2))
-    rolls = np.empty(n)
-    for i, words in enumerate(_keyed_seed_words(model.seed, n)):
+    z, rolls = np.empty((n, 2)), np.empty(n)
+    for i, words in enumerate(_keyed_seed_words(seed, n)):
         rng = Generator(PCG64(SeedWords(words)))
-        eps[i] = rng.normal(0.0, model.rel_timing_jitter, size=2)
+        rng.standard_normal(out=z[i])
         rolls[i] = rng.random()
-    del rng, words  # the last stream holds a view of every sample's seed words
+    z.flags.writeable = rolls.flags.writeable = False
+    return z, rolls
+
+
+def monte_carlo_jitter(config: GenerationConfig, model: ErrorModel) -> JitterReport:
+    """Propagate interaction-time jitter through the generation pipeline.
+
+    Sample i draws from its own RNG stream np.random.default_rng((seed, i)),
+    whose seed words are derived for all samples in one pass.  The draws
+    depend only on (seed, samples), so the last set is kept read-only (24 B
+    per sample) and a sweep's jitters share it, each scaling it bit for bit
+    as rng.normal(0.0, jitter) would.  All samples go through
+    generation_batch at once and the summary is reduced in sample order, so
+    reports are deterministic for a fixed model.  Fidelity quantiles are
+    reported at 5, 25, 50, 75 and 95 percent over the detected samples.
+    """
+    z, rolls = _keyed_draws(model.seed, model.samples)
+    eps = 0.0 + model.rel_timing_jitter * z  # loc + scale * z, as rng.normal; 0.0 + clears -0.0
     if not model.jitter_t1:
         eps[:, 0] = 0.0
     detected = rolls < model.detector_efficiency
@@ -542,7 +551,7 @@ def monte_carlo_jitter(config: GenerationConfig, model: ErrorModel) -> JitterRep
         config, GT_FIRST * (1.0 + eps[:, 0]), gt_second(config.m2) * (1.0 + eps[:, 1])
     )
     samples = np.rec.fromarrays(
-        (np.arange(n), eps[:, 0], eps[:, 1], fid, p2, detected),
+        (np.arange(model.samples), eps[:, 0], eps[:, 1], fid, p2, detected),
         names=("index", "eps_t1", "eps_t2", "fidelity", "p2", "detected"),
     )
     samples.flags.writeable = False

@@ -110,3 +110,16 @@ def test_nominal_times_match_predicted_state(config):
     predicted = predicted_psi2(config.p, config.phi_effective, delta, config.n_max)
     _, fid = _batch(config, GT_FIRST, gt2)
     assert abs(fid - fidelity(predicted, target)) <= TOL
+
+
+def test_batch_rejects_overflowing_rabi_angle():
+    # finite transits whose angle g*t*sqrt(2) overflows, and non-finite ones, with no numpy warning
+    config = GenerationConfig(p=0.5)
+    for gt in (1.5e308, -1.5e308, math.inf, math.nan):
+        with pytest.raises(ValueError, match="Rabi angle"):
+            generation_batch(config, GT_FIRST, np.array([gt]))
+        with pytest.raises(ValueError, match="Rabi angle"):
+            generation_batch(config, np.array([GT_FIRST, gt]), gt_second(5))
+    largest = np.finfo(float).max / math.sqrt(2.0)  # the largest transit whose angle stays finite
+    p2, fid = generation_batch(config, GT_FIRST, np.array([largest, -largest]))
+    assert np.all(np.isfinite(p2)) and np.all(np.isfinite(fid))

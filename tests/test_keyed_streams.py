@@ -3,9 +3,13 @@
 Sample i of `monte_carlo_jitter` draws from `np.random.default_rng((seed, i))`.
 The seed words of all those streams are derived in one vectorized pass, which
 must reproduce numpy's `SeedSequence` exactly, and the draws must be the ones
-`default_rng` gives.  numpy.random itself must stay out of the package import.
+`default_rng` gives, compared by bytes so that a -0.0 cannot pass for 0.0.
+Every jitter scales the one cached set of standard normals per (seed, samples);
+that must not depend on which run filled the cache.  numpy.random itself must
+stay out of the package import.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -18,10 +22,12 @@ from hypothesis import strategies as st
 
 import gbscavity
 from gbscavity import ErrorModel, GenerationConfig, monte_carlo_jitter
-from gbscavity.protocol import _keyed_seed_words
+from gbscavity.protocol import _keyed_draws, _keyed_seed_words
 
 # seeds of 1 and 2 uint32 words, and the boundary between them
 EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1)
+# zero, the smallest subnormal (products round to +-0.0 and +-5e-324) and the CLI range
+EDGE_JITTERS = (0.0, 5e-324, 1e-3, 1e-2, 1.0)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -65,6 +71,54 @@ def test_monte_carlo_draws_from_keyed_streams(seed, jitter_t1, efficiency):
     assert np.array_equal(samples.eps_t1, eps_t1 if jitter_t1 else np.zeros(n))
     assert np.array_equal(samples.eps_t2, eps_t2)
     assert np.array_equal(samples.detected, detected)
+
+
+def assert_samples_are_keyed_draws(seed, n, jitter, warm_jitter):
+    """monte_carlo_jitter's draws, bytes equal to default_rng((seed, i)), on a cold or warmed cache."""
+    _keyed_draws.cache_clear()
+    model = ErrorModel(rel_timing_jitter=jitter, detector_efficiency=0.5, samples=n, seed=seed)
+    if warm_jitter is not None:
+        monte_carlo_jitter(GenerationConfig(p=0.5), dataclasses.replace(model, rel_timing_jitter=warm_jitter))
+    samples = monte_carlo_jitter(GenerationConfig(p=0.5), model).samples
+    assert _keyed_draws.cache_info().misses == 1
+    eps_t1, eps_t2, detected = keyed_draws(seed, n, jitter, 0.5)
+    assert samples.eps_t1.tobytes() == eps_t1.tobytes()
+    assert samples.eps_t2.tobytes() == eps_t2.tobytes()
+    assert samples.detected.tobytes() == detected.tobytes()
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+@pytest.mark.parametrize("jitter", EDGE_JITTERS)
+def test_every_jitter_scales_the_keyed_normals_bit_for_bit(seed, jitter):
+    assert_samples_are_keyed_draws(seed, 60, jitter, None)
+    for warm_jitter in EDGE_JITTERS:
+        assert_samples_are_keyed_draws(seed, 60, jitter, warm_jitter)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1)),
+       n=st.integers(1, 40), jitter=st.floats(0.0, 1.0),
+       warm_jitter=st.one_of(st.none(), st.floats(0.0, 1.0)))
+def test_keyed_draws_property(seed, n, jitter, warm_jitter):
+    assert_samples_are_keyed_draws(seed, n, jitter, warm_jitter)
+
+
+def test_warm_cache_leaves_the_next_run_unchanged():
+    def run(**changes):
+        model = ErrorModel(rel_timing_jitter=1e-2, samples=200, seed=11, **changes)
+        return monte_carlo_jitter(GenerationConfig(p=0.5), model).samples.tobytes()
+
+    _keyed_draws.cache_clear()
+    cold = run()
+    z, rolls = _keyed_draws(11, 200)
+    assert not z.flags.writeable and not rolls.flags.writeable
+    with pytest.raises(ValueError):
+        z[0, 0] = 0.0
+    for changes in ({"jitter_t1": False}, {"detector_efficiency": 0.25}):
+        _keyed_draws.cache_clear()
+        run(**changes)
+        assert run() == cold
+        assert _keyed_draws.cache_info().hits == 1  # the second run reused the first one's draws
 
 
 def test_package_import_leaves_numpy_random_unloaded():
