@@ -313,17 +313,6 @@ def cmd_verify_basis(args) -> int:
     return code if ok else EXIT_VERIFY
 
 
-def cmd_j3_spectrum(args) -> int:
-    report = verify_eigenbasis(args.p, args.phi)
-    digest_obj = {"p": args.p, "phi": args.phi}
-    json_obj = {**digest_obj, "eigenvalues": list(report.eigenvalues),
-                "residuals": list(report.residuals)}
-    human = _kv_text(f"spectrum at p={_num(args.p)} phi={_num(args.phi)}", {
-        k: ", ".join(_num(v) for v in json_obj[k]) for k in ("eigenvalues", "residuals")
-    })
-    return _deliver(args, digest_obj, json_obj, human)
-
-
 def cmd_feasibility(args) -> int:
     if (args.interaction_times is None) == (args.g is None):
         raise ValueError("feasibility needs exactly one of --interaction-times or --g")
@@ -374,10 +363,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pipeline.add_argument("--n-max", type=int, help="Fock truncation")
     pipeline.add_argument("--m2", type=int, help=f"timing index in [{M2_MIN}, {M2_MAX}]")
 
-    point = argparse.ArgumentParser(add_help=False)
-    point.add_argument("--p", type=float, required=True)
-    point.add_argument("--phi", type=float, default=0.0)
-
     # allow_abbrev=False: a flag is spelled in full, so a prefix of a flag
     # (or a removed flag that is a prefix of a kept one) is an error
     parser = argparse.ArgumentParser(
@@ -420,9 +405,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="Bernoulli thinning of detected samples")
     err.add_argument("--no-t1-jitter", action="store_true", help="jitter only the second transit")
 
-    add("verify-basis", cmd_verify_basis, "check the pseudo-angular-momentum eigenbasis", point)
-
-    add("j3-spectrum", cmd_j3_spectrum, "spectrum of the pseudo angular momentum", point)
+    ver = add("verify-basis", cmd_verify_basis, "check the pseudo-angular-momentum eigenbasis")
+    ver.add_argument("--p", type=float, required=True)
+    ver.add_argument("--phi", type=float, default=0.0)
 
     fea = add("feasibility", cmd_feasibility,
               "coherence budget against atomic and cavity lifetimes")

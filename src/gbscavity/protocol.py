@@ -269,6 +269,15 @@ def _post_field(block: np.ndarray, prob: float) -> FieldState:
     return FieldState(block if prob <= 0.0 else block / math.sqrt(prob), block.size - 1)
 
 
+def _require_finite_rabi_angles(n_max: int, gt1, gt2) -> None:
+    """Transit check of both generation paths; sqrt(2) floors it for the batch's theta2*sqrt(2)."""
+    with np.errstate(over="ignore"):  # an angle that overflows to inf fails, without a warning
+        scale = math.sqrt(max(n_max, 1) + 1)
+        if not all(np.isfinite(np.abs(gt) * scale).all() for gt in (gt1, gt2)):
+            raise ValueError("Rabi angle g*t*sqrt(max(n_max, 1) + 1) must be finite, "
+                             f"got gt1={gt1}, gt2={gt2}")
+
+
 def run_generation(config: GenerationConfig, *, gt1: float | None = None,
                    gt2: float | None = None) -> GenerationReport:
     """Run the two-atom pipeline and condition on atom 2 exiting in |down>.
@@ -281,8 +290,7 @@ def run_generation(config: GenerationConfig, *, gt1: float | None = None,
     gt1 = GT_FIRST if gt1 is None else gt1
     gt2 = gt_second(config.m2) if gt2 is None else gt2
     n_max = config.n_max
-    if not all(math.isfinite(gt * math.sqrt(n_max + 1)) for gt in (gt1, gt2)):
-        raise ValueError(f"Rabi angle g*t*sqrt(n_max + 1) must be finite, got gt1={gt1}, gt2={gt2}")
+    _require_finite_rabi_angles(n_max, gt1, gt2)
 
     vacuum = np.eye(1, n_max + 1, dtype=np.complex128)[0]  # make_fock(0, n_max).amps
     atom_down, atom_up = _ramsey_amps(config.p, config.phi1)
@@ -320,9 +328,7 @@ def generation_batch(config: GenerationConfig, gt1, gt2):
     """
     n_max, root_p = config.n_max, math.sqrt(config.p)
     theta1, theta2 = np.asarray(gt1, dtype=float), np.asarray(gt2, dtype=float)
-    top = np.finfo(float).max / math.sqrt(2.0)  # exactly where the angle g*t*sqrt(2) overflows
-    if not (np.all(np.abs(theta1) <= top) and np.all(np.abs(theta2) <= top)):
-        raise ValueError("Rabi angle g*t*sqrt(2) must be finite for every transit")
+    _require_finite_rabi_angles(n_max, theta1, theta2)
     down1 = np.exp(1j * config.phi1) * math.sqrt(1.0 - config.p)
     down2 = np.exp(1j * config.phi_effective) * math.sqrt(1.0 - config.p)
     if n_max == 0 and root_p > ATOL_ALGEBRA:
@@ -386,7 +392,7 @@ def run_measurement(field: FieldState, p: float, phi: float) -> MeasurementRepor
     """
     if not field.is_normalized():
         raise ValueError("run_measurement requires a normalized field")
-    # probe (1, 0) on (|down>, |up>) times the field, as tensor() forms it: same zero signs
+    # probe (1, 0) on (|down>, |up>) times the field, as atom (x) field forms it: same zero signs
     down, up = _jc_blocks((1 + 0j) * field.amps, 0j * field.amps, GT_PROBE)
 
     m = ramsey_decode_matrix(p, phi)

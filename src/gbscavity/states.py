@@ -23,8 +23,6 @@ __all__ = [
     "make_gamma",
     "inner",
     "fidelity",
-    "tensor",
-    "project_atom",
     "gauge_fix",
     "state_to_dict",
     "state_from_dict",
@@ -41,8 +39,18 @@ def _frozen_vector(values, length, what):
     return arr
 
 
+class _Normed:
+    """norm() and is_normalized() over the subclass's `amps`."""
+
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.amps))
+
+    def is_normalized(self) -> bool:
+        return abs(self.norm() ** 2 - 1.0) <= ATOL_ALGEBRA
+
+
 @dataclass(frozen=True)
-class FieldState:
+class FieldState(_Normed):
     """Cavity-mode state: amplitudes over |0>..|n_max>."""
 
     amps: np.ndarray
@@ -55,15 +63,9 @@ class FieldState:
             self, "amps", _frozen_vector(self.amps, self.n_max + 1, "FieldState")
         )
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def is_normalized(self) -> bool:
-        return abs(self.norm() ** 2 - 1.0) <= ATOL_ALGEBRA
-
 
 @dataclass(frozen=True)
-class AtomState:
+class AtomState(_Normed):
     """Two-level atom state with amplitudes on (|down>, |up>)."""
 
     down: complex
@@ -81,15 +83,9 @@ class AtomState:
     def amps(self) -> np.ndarray:
         return np.array([self.down, self.up], dtype=np.complex128)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def is_normalized(self) -> bool:
-        return abs(self.norm() ** 2 - 1.0) <= ATOL_ALGEBRA
-
 
 @dataclass(frozen=True)
-class JointState:
+class JointState(_Normed):
     """Joint atom-field state, atom-major: the |down, n> block precedes |up, n>."""
 
     amps: np.ndarray
@@ -109,12 +105,6 @@ class JointState:
     @property
     def up_amps(self) -> np.ndarray:
         return self.amps[self.n_max + 1 :]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def is_normalized(self) -> bool:
-        return abs(self.norm() ** 2 - 1.0) <= ATOL_ALGEBRA
 
 
 @dataclass(frozen=True)
@@ -193,28 +183,6 @@ def fidelity(a, b) -> float:
     if not (a.is_normalized() and b.is_normalized()):
         raise ValueError("fidelity requires normalized states")
     return min(1.0, abs(inner(a, b)) ** 2)
-
-
-def tensor(atom: AtomState, field: FieldState) -> JointState:
-    """Product state atom (x) field in the atom-major joint layout."""
-    amps = np.concatenate([atom.down * field.amps, atom.up * field.amps])
-    return JointState(amps, field.n_max)
-
-
-def project_atom(joint: JointState, outcome: str):
-    """Project onto an atomic level; returns (field, probability).
-
-    The returned field is unnormalized: its squared norm is the Born
-    probability of the outcome.
-    """
-    if outcome == "down":
-        block = joint.down_amps
-    elif outcome == "up":
-        block = joint.up_amps
-    else:
-        raise ValueError(f"outcome must be 'up' or 'down', got {outcome!r}")
-    prob = float(np.linalg.norm(block) ** 2)
-    return FieldState(block, joint.n_max), prob
 
 
 def gauge_fix(state):

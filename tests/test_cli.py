@@ -169,7 +169,8 @@ def test_generate_rejects_overflowing_rabi_angle(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
-        assert captured.err.startswith("error: Rabi angle g*t*sqrt(n_max + 1) must be finite")
+        assert captured.err.startswith(
+            "error: Rabi angle g*t*sqrt(max(n_max, 1) + 1) must be finite")
         assert not out.exists()
 
 
@@ -283,29 +284,24 @@ def test_error_sweep_reads_error_model_config(tmp_path, capsys):
     assert row["samples_used"] == 120
 
 
-# ------------------------------------------------- verify-basis, j3-spectrum
+# ------------------------------------------------------------- verify-basis
 
 
 def test_verify_basis_passes(capsys):
     for argv in (["verify-basis", "--p", "0.5"],
-                 ["verify-basis", "--p", "0.3", "--phi", "1.7"]):
+                 ["verify-basis", "--p", "0.3", "--phi", "1.7"],
+                 ["verify-basis", "--p", "0.42", "--phi", "0.3"]):
         code, report = run_json(capsys, argv)
         assert code == 0
         assert report["pass"] is True
         assert report["max_residual"] < 1e-12
+        assert np.allclose(report["eigenvalues"], (1.0, 0.0, -1.0), atol=1e-10)
 
 
 def test_verify_basis_failure_paths(nudged_j3, capsys):
     assert main(["verify-basis", "--p", "0.5"]) == 4
     assert capsys.readouterr().out.endswith(" FAIL\n")
     assert main(["verify-basis", "--p", "1.2"]) == 2
-
-
-def test_j3_spectrum_output(capsys):
-    code, report = run_json(capsys, ["j3-spectrum", "--p", "0.42", "--phi", "0.3"])
-    assert code == 0
-    assert np.allclose(report["eigenvalues"], (1.0, 0.0, -1.0), atol=1e-10)
-    assert max(report["residuals"]) < 1e-12
 
 
 # -------------------------------------------------------------- feasibility

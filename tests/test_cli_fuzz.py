@@ -69,7 +69,6 @@ BASE = {
     # --samples is drawn from VALUES only, so a sweep never runs above 100 samples.
     "error-sweep": ["--p=0.5", "--jitter=1e-2", "--samples=100"],
     "verify-basis": ["--p=0.5"],
-    "j3-spectrum": ["--p=0.5"],
     "feasibility": ["--tau-at=1e-2", "--tau-cav=1e-1", "--g=314159"],
 }
 FLAGS = {
@@ -78,7 +77,6 @@ FLAGS = {
     "optimize-timing": ("--gt-min", "--gt-max"),
     "error-sweep": PIPELINE + ("--jitter", "--samples", "--seed", "--detector-efficiency"),
     "verify-basis": ("--p", "--phi"),
-    "j3-spectrum": ("--p", "--phi"),
     "feasibility": ("--tau-at", "--tau-cav", "--interaction-times", "--sequence-duration",
                     "--g", "--dt-gap", "--m2", "--units"),
 }

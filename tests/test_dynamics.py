@@ -23,7 +23,6 @@ from gbscavity import (
     make_gbs,
     ramsey_decode_matrix,
     ramsey_prepare,
-    tensor,
 )
 
 N_MAX = 4

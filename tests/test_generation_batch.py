@@ -7,6 +7,7 @@ wherever the scalar pipeline raises, and reproduce the analytic
 """
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -44,14 +45,33 @@ def configs(draw, n_max=st.integers(0, 8)):
     )
 
 
+def largest_transit(n_max):
+    """The largest g*t whose Rabi angle g*t*sqrt(max(n_max, 1) + 1) is finite,
+    found by stepping through the doubles around float max / sqrt(...)."""
+    scale = math.sqrt(max(n_max, 1) + 1)
+    gt = sys.float_info.max / scale
+    while math.isinf(gt * scale):
+        gt = math.nextafter(gt, 0.0)
+    while math.isfinite(math.nextafter(gt, math.inf) * scale):
+        gt = math.nextafter(gt, math.inf)
+    return gt
+
+
 @st.composite
 def jittered(draw):
+    """Transits within 20% of the nominal ones, or at the overflow edge: the
+    largest allowed g*t, either sign, and the doubles on both sides of it."""
     config = draw(configs())
-    eps = st.floats(-0.2, 0.2)
-    points = draw(st.lists(st.tuples(eps, eps), min_size=1, max_size=6))
-    gt1 = np.array([GT_FIRST * (1.0 + e1) for e1, _ in points])
-    gt2 = np.array([gt_second(config.m2) * (1.0 + e2) for _, e2 in points])
-    return config, gt1, gt2
+    top = largest_transit(config.n_max)
+    edge = st.sampled_from([sign * gt for sign in (1.0, -1.0)
+                            for gt in (math.nextafter(top, 0.0), top, math.nextafter(top, math.inf))])
+
+    def transits(nominal):
+        return st.one_of(st.floats(-0.2, 0.2).map(lambda eps: nominal * (1.0 + eps)), edge)
+
+    points = draw(st.lists(st.tuples(transits(GT_FIRST), transits(gt_second(config.m2))),
+                           min_size=1, max_size=6))
+    return config, np.array([a for a, _ in points]), np.array([b for _, b in points])
 
 
 def _batch(config, gt1, gt2):
@@ -69,7 +89,6 @@ def _outcome(call):
         return None, type(exc)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the scalar path warns on inf, then raises
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(jittered())
 @example(case=(GenerationConfig(p=0.5, n_max=1), np.array([GT_FIRST]), np.array([1.0])))
@@ -80,6 +99,7 @@ def _outcome(call):
 @example(case=(GenerationConfig(p=0.5), np.array([np.inf]), np.array([1.0])))
 @example(case=(GenerationConfig(p=1.0), np.array([0.0]), np.array([1.0])))
 @example(case=(GenerationConfig(p=1.0), np.array([GT_FIRST]), np.array([0.0])))
+@example(case=(GenerationConfig(p=0.5, n_max=4), np.array([GT_FIRST]), np.array([1e308])))
 def test_batch_matches_scalar_pipeline(case):
     config, gt1, gt2 = case
     expected = []
@@ -113,13 +133,14 @@ def test_nominal_times_match_predicted_state(config):
 
 
 def test_batch_rejects_overflowing_rabi_angle():
-    # finite transits whose angle g*t*sqrt(2) overflows, and non-finite ones, with no numpy warning
+    # finite transits whose angle g*t*sqrt(n_max + 1) overflows, and non-finite ones,
+    # with no numpy warning
     config = GenerationConfig(p=0.5)
-    for gt in (1.5e308, -1.5e308, math.inf, math.nan):
+    largest = largest_transit(config.n_max)
+    for gt in (math.nextafter(largest, math.inf), -1.5e308, math.inf, math.nan):
         with pytest.raises(ValueError, match="Rabi angle"):
             generation_batch(config, GT_FIRST, np.array([gt]))
         with pytest.raises(ValueError, match="Rabi angle"):
             generation_batch(config, np.array([GT_FIRST, gt]), gt_second(5))
-    largest = np.finfo(float).max / math.sqrt(2.0)  # the largest transit whose angle stays finite
     p2, fid = generation_batch(config, GT_FIRST, np.array([largest, -largest]))
     assert np.all(np.isfinite(p2)) and np.all(np.isfinite(fid))

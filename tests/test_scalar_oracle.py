@@ -2,10 +2,11 @@
 
 `run_generation` and `run_measurement` carry the (down, up) amplitude blocks
 as plain arrays and build only the states they return.  The oracles below
-compose the same steps from the public state objects (ramsey_prepare ->
-tensor -> jc_closed_form -> project_atom -> free_field_evolve -> ...), so
-both paths must agree bit for bit: amplitudes by `tobytes()`, every float by
-`==`, and wherever the oracle raises, the same exception class.
+compose the same steps from the public state objects and the helpers of
+oracle.py (ramsey_prepare -> tensor -> jc_closed_form -> project_atom ->
+free_field_evolve -> ...), so both paths must agree bit for bit: amplitudes
+by `tobytes()`, every float by `==`, and wherever the oracle raises, the same
+exception class.
 """
 
 import math
@@ -34,14 +35,13 @@ from gbscavity import (
     jc_closed_form,
     make_fock,
     make_gbs,
-    project_atom,
     ramsey_decode_matrix,
     ramsey_prepare,
     run_generation,
     run_measurement,
-    tensor,
 )
 from gbscavity.constants import FIELD_OCCUPANCY_CUTOFF
+from oracle import project_atom, tensor
 
 probabilities = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))
 phases = st.floats(-10.0, 10.0)

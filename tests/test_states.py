@@ -18,11 +18,10 @@ from gbscavity import (
     make_fock,
     make_gamma,
     make_gbs,
-    project_atom,
     state_from_dict,
     state_to_dict,
-    tensor,
 )
+from oracle import project_atom, tensor
 
 
 def random_field(rng, n_max):
