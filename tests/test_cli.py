@@ -289,13 +289,25 @@ def test_error_sweep_reads_error_model_config(tmp_path, capsys):
 
 def test_verify_basis_passes(capsys):
     for argv in (["verify-basis", "--p", "0.5"],
-                 ["verify-basis", "--p", "0.3", "--phi", "1.7"],
-                 ["verify-basis", "--p", "0.42", "--phi", "0.3"]):
+                 ["verify-basis", "--p", "0.3", "--phi", "1.7"]):
         code, report = run_json(capsys, argv)
         assert code == 0
         assert report["pass"] is True
         assert report["max_residual"] < 1e-12
         assert np.allclose(report["eigenvalues"], (1.0, 0.0, -1.0), atol=1e-10)
+
+
+def test_j3_spectrum_output(capsys):
+    # The J3 spectrum is reported by verify-basis; the former j3-spectrum
+    # subcommand is gone.
+    code, report = run_json(capsys, ["verify-basis", "--p", "0.42", "--phi", "0.3"])
+    assert code == 0
+    assert report["pass"] is True
+    assert np.allclose(report["eigenvalues"], (1.0, 0.0, -1.0), atol=1e-10)
+    assert max(report["residuals"]) < 1e-12
+    with pytest.raises(SystemExit) as exc:
+        main(["j3-spectrum", "--p", "0.42"])
+    assert exc.value.code == 2
 
 
 def test_verify_basis_failure_paths(nudged_j3, capsys):
