@@ -67,8 +67,6 @@ def spin1_triple(p: float, phi: float) -> tuple[FieldState, FieldState, FieldSta
 class EigenbasisReport:
     """Residuals ||J3 v - lambda v|| for the triple, plus the numeric spectrum."""
 
-    p: float
-    phi: float
     eigenvalues: tuple  # diagonalized spectrum, descending
     residuals: tuple    # for the analytic eigenpairs at +1, 0, -1
 
@@ -85,6 +83,4 @@ def verify_eigenbasis(p: float, phi: float) -> EigenbasisReport:
         for state, lam in zip(spin1_triple(p, phi), (1.0, 0.0, -1.0))
     )
     spectrum = np.linalg.eigvalsh(op)[::-1]
-    return EigenbasisReport(
-        p=p, phi=phi, eigenvalues=tuple(float(x) for x in spectrum), residuals=residuals
-    )
+    return EigenbasisReport(eigenvalues=tuple(float(x) for x in spectrum), residuals=residuals)

@@ -134,6 +134,12 @@ def _resolve_config(args):
     merged = {k: v for k, v in data.items() if k != "error_model"}
     merged.update((k, flags[k]) for k in _CONFIG_KEYS if k in flags)
     model.update((k, flags[k]) for k in _MODEL_KEYS if k in flags)
+    # json reads true/false as bool, which Python also counts as an int
+    for key, value in (*merged.items(), *model.items()):
+        boolean = key == "jitter_t1"
+        if isinstance(value, bool) != boolean or not isinstance(value, (int, float)):
+            kind = "true or false" if boolean else "a number"
+            raise ValueError(f"{key} must be {kind}, got {json.dumps(value)}")
     if "p" not in merged:
         raise ValueError("p is required (flag --p or config file)")
     return GenerationConfig(**merged), model
@@ -170,6 +176,8 @@ def cmd_measure(args) -> int:
     if (args.state_file is None) == (args.gbs is None):
         raise ValueError("measure needs exactly one of --gbs or --state-file")
     if args.state_file:
+        if args.n_max is not None:
+            raise ValueError("--n-max builds the --gbs state; a state file carries its own n_max")
         field = state_from_dict(json.loads(Path(args.state_file).read_text(encoding="utf-8")))
         if not isinstance(field, FieldState):
             raise ValueError("state file must hold a field state")
@@ -181,8 +189,9 @@ def cmd_measure(args) -> int:
         if len(parts) != 3:
             raise ValueError(f"--gbs expects 'N,p,phi', got {args.gbs!r}")
         params = GBSParams(int(parts[0]), float(parts[1]), float(parts[2]))
-        field = make_gbs(params, args.n_max)
-        source = {"gbs": dataclasses.asdict(params), "n_max": args.n_max}
+        n_max = DEFAULT_N_MAX if args.n_max is None else args.n_max
+        field = make_gbs(params, n_max)
+        source = {"gbs": dataclasses.asdict(params), "n_max": n_max}
     decode_p = args.decode_p if args.decode_p is not None else params.p
     decode_phi = args.decode_phi if args.decode_phi is not None else params.phi
 
@@ -248,7 +257,7 @@ def cmd_error_sweep(args) -> int:
         "samples": model_cfg.get("samples", 10000),
         "seed": model_cfg.get("seed", 0),
         "detector_efficiency": float(model_cfg.get("detector_efficiency", 1.0)),
-        "jitter_t1": bool(model_cfg.get("jitter_t1", True)) and not args.no_t1_jitter,
+        "jitter_t1": model_cfg.get("jitter_t1", True) and not args.no_t1_jitter,
     }
     if model_dict["samples"] < 100:
         raise ValueError("error sweeps need at least 100 samples")
@@ -384,8 +393,8 @@ def _build_parser() -> argparse.ArgumentParser:
     mea = add("measure", cmd_measure, "probe a field state and decode the probe")
     mea.add_argument("--gbs", help="input binomial state as 'N,p,phi'")
     mea.add_argument("--state-file", help="serialized field state (JSON)")
-    mea.add_argument("--n-max", type=int, default=DEFAULT_N_MAX,
-                     help="Fock truncation when building from --gbs")
+    mea.add_argument("--n-max", type=int,
+                     help=f"Fock truncation of the --gbs state (default {DEFAULT_N_MAX})")
     mea.add_argument("--decode-p", type=float,
                      help="decoding zone weight (defaults to the --gbs p)")
     mea.add_argument("--decode-phi", type=float,

@@ -11,7 +11,6 @@ returns a fresh one.
 """
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -83,23 +82,13 @@ def jc_hamiltonian(n_max: int) -> np.ndarray:
     return h
 
 
-@lru_cache(maxsize=None)
-def _unit_coupling_eigh(n_max: int):
-    vals, vecs = np.linalg.eigh(jc_hamiltonian(n_max))
-    vals.flags.writeable = False
-    vecs.flags.writeable = False
-    return vals, vecs
-
-
 def jc_expm_evolve(joint: JointState, gt: float) -> JointState:
     """Evolution by exp(-i H gt), H = jc_hamiltonian(n_max), via the spectrum of H.
 
-    Independent numerical route used to cross-check jc_closed_form.  The
-    eigendecomposition of the unit-coupling generator is cached per n_max
-    (read-only, safe under concurrent readers) and rescaled by gt.
+    Independent numerical route used to cross-check jc_closed_form.
     """
     _check_truncation(joint.up_amps)
-    vals, vecs = _unit_coupling_eigh(joint.n_max)
+    vals, vecs = np.linalg.eigh(jc_hamiltonian(joint.n_max))
     phases = np.exp(-1j * vals * gt)
     out = vecs @ (phases * (vecs.conj().T @ joint.amps))
     return JointState(out, joint.n_max)

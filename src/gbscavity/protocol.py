@@ -122,13 +122,6 @@ class GenerationReport:
     joint_before_projection: JointState
     leakage: float
 
-    def __post_init__(self):
-        slack = 1e-9
-        if not -slack <= self.p2 <= 1.0 + slack:
-            raise ValueError(f"p2 outside [0, 1]: {self.p2}")
-        if not -slack <= self.fidelity_to_target <= 1.0 + slack:
-            raise ValueError(f"fidelity outside [0, 1]: {self.fidelity_to_target}")
-
 
 @dataclass(frozen=True)
 class TimingResult:
@@ -138,14 +131,6 @@ class TimingResult:
     gt2: float
     delta: float           # 1 - sin(g sqrt(2) T2), the two-photon residual
     residual_first: float  # |1 - sin(g T2 + pi/4)|, zero by construction
-
-    def __post_init__(self):
-        if not 0.0 <= self.delta <= 2.0:
-            raise ValueError(f"delta outside [0, 2]: {self.delta}")
-        if self.residual_first >= ATOL_ALGEBRA:
-            raise ValueError(
-                f"first-condition residual {self.residual_first} should vanish"
-            )
 
 
 @dataclass(frozen=True)
@@ -307,6 +292,8 @@ def run_generation(config: GenerationConfig, *, gt1: float | None = None,
     leakage = _require_no_leak("the second transit", down, up)
 
     p_second = float(np.linalg.norm(down) ** 2)
+    if p_second <= 0.0:
+        raise ValueError("atom 2 never exits in |down>; cannot condition")
     post = _post_field(down, p_second)
     target = GBSParams(2, config.p, math.pi - config.phi_effective)
     return GenerationReport(
@@ -323,24 +310,25 @@ def generation_batch(config: GenerationConfig, gt1, gt2):
     """run_generation over arrays of g*t overrides; returns (p2, fidelity).
 
     The same transition rules and checks on the {|0>, |1>, |2>} block, which
-    holds every amplitude the pipeline reaches, so the only truncation left
-    to check is |up, n_max> at n_max < 2.  One failing point fails the batch.
+    holds every amplitude the pipeline reaches.  At n_max < 2 no two-photon
+    target fits, so every point raises and run_generation picks the error: a
+    truncation check computed twice can land on both sides of its threshold
+    by rounding.  One failing point fails the batch.
     """
     n_max, root_p = config.n_max, math.sqrt(config.p)
     theta1, theta2 = np.asarray(gt1, dtype=float), np.asarray(gt2, dtype=float)
     _require_finite_rabi_angles(n_max, theta1, theta2)
+    if n_max < 2:
+        for a, b in np.broadcast(theta1, theta2):
+            run_generation(config, gt1=a, gt2=b)
     down1 = np.exp(1j * config.phi1) * math.sqrt(1.0 - config.p)
     down2 = np.exp(1j * config.phi_effective) * math.sqrt(1.0 - config.p)
-    if n_max == 0 and root_p > ATOL_ALGEBRA:
-        raise TruncationLeakError("|up, n_max=0> is populated before the first transit")
     f1 = -np.sin(theta1) * root_p  # atom 1 leaves (down1, f1) in the field
     p_first = abs(down1) ** 2 + f1**2
     if np.any(p_first <= 0.0):
         raise ValueError("atom 1 never exits in |down>; cannot condition")
     f0 = down1 / np.sqrt(p_first)
     f1 = f1 / np.sqrt(p_first) * np.exp(-1j * (config.omega * config.dt_gap))
-    if n_max < 2 and np.any(np.abs(root_p * (f0, f1)[n_max]) > ATOL_ALGEBRA):
-        raise TruncationLeakError(f"|up, n_max={n_max}> is populated before the second transit")
     d = np.array(np.broadcast_arrays(  # the |down> block atom 2 leaves behind
         down2 * f0,
         np.cos(theta2) * (down2 * f1) - np.sin(theta2) * (root_p * f0),
@@ -352,8 +340,6 @@ def generation_batch(config: GenerationConfig, gt1, gt2):
         raise ValueError("atom 2 never exits in |down>; cannot condition")
     p2 = p_first * p_second
     fid = np.minimum(1.0, np.abs(target[:3].conj() @ d / np.sqrt(p_second)) ** 2)
-    if not np.all((p2 >= -1e-9) & (p2 <= 1.0 + 1e-9) & (fid >= -1e-9) & (fid <= 1.0 + 1e-9)):
-        raise ValueError("p2 or fidelity outside [0, 1]")
     return p2, fid
 
 
@@ -524,8 +510,17 @@ def _keyed_draws(seed: int, n: int):
     """Read-only standard normals z (n, 2) and rolls (n,): row i is default_rng((seed, i))'s."""
     # numpy.random loads lazily on numpy 2.x; keep it out of `import gbscavity`
     from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
 
-    from ._keyed_streams import SeedWords
+    class SeedWords(ISeedSequence):
+        """Hands PCG64 the four uint64 seed words a SeedSequence would generate:
+        PCG64 asks for generate_state(4, np.uint64) once, at construction."""
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=None):
+            return self.words
 
     z, rolls = np.empty((n, 2)), np.empty(n)
     for i, words in enumerate(_keyed_seed_words(seed, n)):

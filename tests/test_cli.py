@@ -75,6 +75,26 @@ def test_generate_config_errors(tmp_path):
     assert main(["generate", "--p", "1.5"]) == 2
 
 
+def test_config_values_have_their_json_types(tmp_path, capsys):
+    # json reads true as a bool, which Python also counts as the integer 1
+    cfg = tmp_path / "cfg.json"
+    for command, config, flags, message in (
+        ("generate", {"p": True, "m2": True}, [], "p must be a number, got true"),
+        ("generate", {"p": 0.5, "m2": True}, [], "m2 must be a number, got true"),
+        ("error-sweep", {"p": 0.5, "error_model": {"seed": True}}, [],
+         "seed must be a number, got true"),
+        ("error-sweep", {"p": 0.5, "error_model": {"rel_timing_jitter": "1e-2"}}, [],
+         'rel_timing_jitter must be a number, got "1e-2"'),
+        ("error-sweep", {"p": 0.5, "error_model": {"jitter_t1": 0}}, [],
+         "jitter_t1 must be true or false, got 0"),
+        ("error-sweep", {"p": 0.5, "error_model": {"jitter_t1": "false"}}, ["--no-t1-jitter"],
+         'jitter_t1 must be true or false, got "false"'),
+    ):
+        cfg.write_text(json.dumps(config))
+        assert main([command, "--config", str(cfg), *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_generate_truncation_leak_exit_code():
     assert main(["generate", "--p", "0.5", "--n-max", "1"]) == 3
 
@@ -121,6 +141,14 @@ def test_measure_input_errors(tmp_path):
     state.write_text(json.dumps({"n_max": 4, "basis": "field",
                                  "amps": [[1.0, 0.0]] + [[0.0, 0.0]] * 4}))
     assert main(["measure", "--state-file", str(state)]) == 2  # decode params missing
+    # the state file carries its own n_max; --n-max only builds a --gbs state
+    assert main(["measure", "--state-file", str(state), "--n-max", "99",
+                 "--decode-p", "0.5", "--decode-phi", "0"]) == 2
+    joint = tmp_path / "joint.json"
+    joint.write_text(json.dumps({"n_max": 1, "basis": "joint-atom-major",
+                                 "amps": [[1, 0], [0, 0], [0, 0], [0, 0]]}))
+    assert main(["measure", "--state-file", str(joint),
+                 "--decode-p", "0.5", "--decode-phi", "0"]) == 2
     amps = json.dumps([[1.0, 0.0]] + [[0.0, 0.0]] * 4)
     for n_max in ("1e400", "4.5"):  # no overflow, no silent truncation to 4
         state.write_text(f'{{"n_max": {n_max}, "basis": "field", "amps": {amps}}}')
@@ -253,6 +281,7 @@ def test_error_sweep_keeps_one_sample_file_per_jitter(tmp_path, capsys):
 def test_error_sweep_sample_floor():
     assert main(["error-sweep", "--p", "0.5", "--jitter", "1e-2",
                  "--samples", "50"]) == 2
+    assert main(["error-sweep", "--p", "0.5", "--jitter", ",", "--samples", "100"]) == 2
 
 
 def test_error_sweep_sample_ceiling_and_memory_error(monkeypatch, capsys):

@@ -118,6 +118,8 @@ def test_hamiltonian_matrix_elements():
     assert h[d + 2, 3] == 1j * math.sqrt(3.0)
     assert np.all(np.diag(h) == 0)
     assert np.max(np.abs(h - h.conj().T)) == 0.0  # Hermitian
+    with pytest.raises(ValueError):
+        jc_hamiltonian(0)  # no coupling without a photon level to exchange
 
 
 def test_hamiltonian_commutes_with_excitation_number():

@@ -82,11 +82,11 @@ def _batch(config, gt1, gt2):
 
 
 def _outcome(call):
-    """(result, None) or (None, exception class) of call()."""
+    """(result, None) or (None, exception) of call()."""
     try:
         return call(), None
     except Exception as exc:  # any class: the test compares classes
-        return None, type(exc)
+        return None, exc
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -106,8 +106,12 @@ def test_batch_matches_scalar_pipeline(case):
     for a, b in zip(gt1, gt2):
         report, scalar_error = _outcome(lambda: run_generation(config, gt1=a, gt2=b))
         batch, batch_error = _outcome(lambda: _batch(config, a, b))
-        assert batch_error is scalar_error, (config, a, b)
+        assert type(batch_error) is type(scalar_error), (config, a, b)
+        if isinstance(scalar_error, ValueError):  # a shared check: the same message too
+            assert str(batch_error) == str(scalar_error), (config, a, b)
         if report is not None:
+            assert 0.0 <= report.p2 <= 1.0 + 1e-12 and 0.0 <= batch[0] <= 1.0 + 1e-12
+            assert 0.0 <= report.fidelity_to_target <= 1.0 and 0.0 <= batch[1] <= 1.0
             assert abs(batch[0] - report.p2) <= TOL
             assert abs(batch[1] - report.fidelity_to_target) <= TOL
             expected.append((report.p2, report.fidelity_to_target))

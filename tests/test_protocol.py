@@ -68,6 +68,8 @@ def test_degenerate_and_invalid_ranges():
         optimize_t2(0, 17)
     with pytest.raises(ValueError):
         optimize_t2(-1, 5)
+    with pytest.raises(ValueError):
+        scan_t2(0.5, 3)  # bounds must be integers
 
 
 # --------------------------------------------------------------- generation
@@ -138,6 +140,8 @@ def test_generation_truncation_policies():
     with pytest.raises(ValueError):
         # atom 1 cannot exit in |down> when fully excited and not evolved
         run_generation(GenerationConfig(p=1.0), gt1=0.0)
+    with pytest.raises(ValueError, match="atom 2 never exits"):
+        run_generation(GenerationConfig(p=1.0), gt2=0.0)
 
 
 def test_generation_rejects_overflowing_rabi_angle():
@@ -172,6 +176,11 @@ def test_predicted_top_heavy_limit():
     state = predicted_psi2(1.0, 0.0, DELTA_STAR)
     assert abs(abs(state.amps[2]) - 1.0) < 1e-12
     assert np.max(np.abs(state.amps[:2])) < 1e-15
+    for args in ((1.2, 0.0, 0.0), (-0.1, 0.0, 0.0), (0.5, 0.0, 0.0, 1)):
+        with pytest.raises(ValueError):
+            predicted_psi2(*args)
+    with pytest.raises(ValueError, match="vanishes"):
+        predicted_psi2(1.0, 0.0, 1.0)  # only |2> is weighted, and 1 - delta kills it
 
 
 def test_predicted_fidelity_at_half():

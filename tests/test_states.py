@@ -79,6 +79,10 @@ def test_gbs_validation():
         GBSParams(2, -0.1, 0.0)
     with pytest.raises(ValueError):
         make_gbs(GBSParams(3, 0.5, 0.0), 2)  # truncation cannot hold N=3
+    with pytest.raises(ValueError):
+        GBSParams(-1, 0.5, 0.0)
+    with pytest.raises(ValueError):
+        GBSParams(2, 0.5, math.nan)
 
 
 def test_gamma_explicit_values():
@@ -87,6 +91,10 @@ def test_gamma_explicit_values():
     assert np.max(np.abs(state.amps - [root, 0.0, -root])) < 1e-15
     edge = make_gamma(0.0, 0.0, 2)
     assert np.max(np.abs(edge.amps - [0.0, -1.0, 0.0])) < 1e-15
+    with pytest.raises(ValueError):
+        make_gamma(1.5, 0.0, 2)
+    with pytest.raises(ValueError):
+        make_gamma(0.5, 0.0, 1)  # the completion lives on {|0>, |1>, |2>}
 
 
 def test_orthonormal_triple_gram_identity():
@@ -214,6 +222,8 @@ def test_serialization_round_trip_property(state):
 def test_serialization_rejects_unknown_basis():
     with pytest.raises(ValueError):
         state_from_dict({"n_max": 1, "amps": [[1, 0], [0, 0]], "basis": "mystery"})
+    with pytest.raises(ValueError):
+        state_to_dict(AtomState(1.0, 0.0))  # only field and joint states have a basis label
 
 
 def test_states_are_immutable():
@@ -231,3 +241,5 @@ def test_constructors_reject_nonfinite():
         AtomState(down=np.inf, up=0.0)
     with pytest.raises(ValueError):
         JointState([1.0, 0.0, 0.0], 1)  # wrong length for n_max = 1
+    with pytest.raises(ValueError):
+        JointState([], -1)  # zero amplitudes is the right length for n_max = -1
