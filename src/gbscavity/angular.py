@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import FieldState, GBSParams, make_gamma, make_gbs
+from .states import FieldState, GBSParams, _check_finite, _check_weight, make_gamma, make_gbs
 
 __all__ = [
     "EigenbasisReport",
@@ -46,10 +46,8 @@ def _ladder() -> tuple[np.ndarray, ...]:
 
 def j3_operator(p: float, phi: float) -> np.ndarray:
     """Hermitian observable sqrt(p(1-p)) (e^(-i phi) J+ + e^(i phi) J-) - (2p-1) J0."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    if not math.isfinite(phi):
-        raise ValueError(f"phi must be finite, got {phi}")
+    _check_weight("p", p)
+    _check_finite("phi", phi)
     plus, minus, zero = _ladder()
     return math.sqrt(p * (1.0 - p)) * (
         np.exp(-1j * phi) * plus + np.exp(1j * phi) * minus

@@ -245,24 +245,23 @@ def cmd_optimize_timing(args) -> int:
 def cmd_error_sweep(args) -> int:
     cfg, model_cfg = _resolve_config(args)
 
+    jitters = [model_cfg.pop("rel_timing_jitter", 1e-2)]
     if args.jitter is not None:
         jitters = [float(s) for s in args.jitter.split(",") if s.strip()]
-    else:
-        jitters = [float(model_cfg.get("rel_timing_jitter", 1e-2))]
     if not jitters:
         raise ValueError("--jitter lists no values")
-    # samples and seed go to ErrorModel unconverted: its integer checks reject
-    # 4.5 or 1e400 instead of truncating or overflowing them here.
-    model_dict = {
-        "samples": model_cfg.get("samples", 10000),
-        "seed": model_cfg.get("seed", 0),
-        "detector_efficiency": float(model_cfg.get("detector_efficiency", 1.0)),
-        "jitter_t1": model_cfg.get("jitter_t1", True) and not args.no_t1_jitter,
-    }
-    if model_dict["samples"] < 100:
+    if args.no_t1_jitter:
+        model_cfg["jitter_t1"] = False
+    # ErrorModel checks the values unconverted (4.5 samples, a 400-digit efficiency)
+    # and holds the defaults; the report reads both back from the built model.
+    models = [ErrorModel(rel_timing_jitter=jit, **model_cfg) for jit in jitters]
+    jitters = [float(model.rel_timing_jitter) for model in models]
+    model = models[0]
+    model_dict = {"samples": model.samples, "seed": model.seed,
+                  "detector_efficiency": float(model.detector_efficiency),
+                  "jitter_t1": model.jitter_t1}
+    if model.samples < 100:
         raise ValueError("error sweeps need at least 100 samples")
-
-    models = [ErrorModel(rel_timing_jitter=jit, **model_dict) for jit in jitters]
 
     gt2 = gt_second(cfg.m2)
     rows = []

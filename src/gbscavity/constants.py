@@ -13,6 +13,10 @@ ATOL_DYNAMICS = 1e-10
 # the spare rungs guard against mis-coded couplings.
 DEFAULT_N_MAX = 4
 
+# Largest accepted truncation. States grow about 1.3 KB per Fock level, mostly
+# their JSON, so an unbounded n_max could ask for any amount of memory.
+N_MAX_LIMIT = 1000
+
 # Photon number above which the protocol must leave no population.
 FIELD_OCCUPANCY_CUTOFF = 2
 

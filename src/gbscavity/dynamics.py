@@ -14,8 +14,8 @@ import math
 
 import numpy as np
 
-from .constants import ATOL_ALGEBRA
-from .states import AtomState, FieldState, JointState
+from .constants import ATOL_ALGEBRA, N_MAX_LIMIT
+from .states import AtomState, FieldState, JointState, _check_finite, _check_int, _check_weight
 
 __all__ = [
     "TruncationLeakError",
@@ -71,8 +71,7 @@ def _jc_blocks(down: np.ndarray, up: np.ndarray, gt: float) -> tuple[np.ndarray,
 def jc_hamiltonian(n_max: int) -> np.ndarray:
     """Unit-coupling generator i (sigma+ a - sigma- a†) on the joint basis;
     evolution over gt is exp(-i H gt)."""
-    if n_max < 1:
-        raise ValueError("jc_hamiltonian needs n_max >= 1")
+    _check_int("n_max", n_max, 1, N_MAX_LIMIT)
     d = n_max + 1
     h = np.zeros((2 * d, 2 * d), dtype=np.complex128)
     for n in range(n_max):
@@ -110,8 +109,7 @@ def _free_phases(n_max: int, omega: float, dt: float) -> np.ndarray:
 
 def ramsey_prepare(p: float, phi_k: float) -> AtomState:
     """Atom superposition sqrt(p) |up> + e^(i phi_k) sqrt(1-p) |down>."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
+    _check_weight("p", p)
     return AtomState(*_ramsey_amps(p, phi_k))
 
 
@@ -126,10 +124,8 @@ def ramsey_decode_matrix(p: float, phi: float) -> np.ndarray:
         |up>   -> sqrt(p) |up> - e^(-i phi) sqrt(1-p) |down>
         |down> -> e^(i phi) sqrt(1-p) |up> + sqrt(p) |down>
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    if not math.isfinite(phi):
-        raise ValueError(f"phi must be finite, got {phi}")
+    _check_weight("p", p)
+    _check_finite("phi", phi)
     sp = math.sqrt(p)
     sq = math.sqrt(1.0 - p)
     return np.array(
@@ -141,6 +137,7 @@ def ramsey_decode_matrix(p: float, phi: float) -> np.ndarray:
 
 def excitation_operator(n_max: int) -> np.ndarray:
     """Total excitation number sigma_z / 2 + a† a, conserved by the evolution."""
+    _check_int("n_max", n_max, 0, N_MAX_LIMIT)
     ns = np.arange(n_max + 1, dtype=np.float64)
     diag = np.concatenate([ns - 0.5, ns + 0.5])
     return np.diag(diag).astype(np.complex128)

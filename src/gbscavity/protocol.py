@@ -23,6 +23,7 @@ from .constants import (
     FIELD_OCCUPANCY_CUTOFF,
     M2_MAX,
     M2_MIN,
+    N_MAX_LIMIT,
 )
 from .dynamics import (
     TruncationLeakError,
@@ -31,7 +32,8 @@ from .dynamics import (
     _ramsey_amps,
     ramsey_decode_matrix,
 )
-from .states import FieldState, GBSParams, JointState, fidelity, make_gbs
+from .states import (FieldState, GBSParams, JointState, _check_finite, _check_int,
+                     _check_weight, fidelity, make_gbs)
 
 __all__ = [
     "GT_FIRST",
@@ -89,26 +91,19 @@ class GenerationConfig:
     m2: int = 5
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must be in [0, 1], got {self.p}")
-        if not isinstance(self.m2, int) or not M2_MIN <= self.m2 <= M2_MAX:
-            raise ValueError(f"m2 must be an integer in [{M2_MIN}, {M2_MAX}]")
-        if not isinstance(self.n_max, int) or self.n_max < 0:
-            raise ValueError("n_max must be a non-negative integer")
+        _check_weight("p", self.p)
+        _check_int("m2", self.m2, M2_MIN, M2_MAX)
+        _check_int("n_max", self.n_max, 0, N_MAX_LIMIT)
         for name in ("phi1", "omega", "dt_gap", "phi_effective"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        try:  # the largest free-field phase, computed as free_field_evolve does
-            top_phase = self.n_max * self.omega * self.dt_gap
-        except OverflowError:  # an integer n_max beyond the float range
-            top_phase = math.inf
-        if not math.isfinite(top_phase):
-            raise ValueError("the free-field phase n_max*omega*dt_gap must be finite")
+            _check_finite(name, getattr(self, name))
+        # the largest free-field phase, in floats as free_field_evolve computes it
+        _check_finite("the free-field phase n_max*omega*dt_gap",
+                      float(self.n_max) * self.omega * self.dt_gap)
 
     @property
     def phi_effective(self) -> float:
         """Phase seen by atom 2 after compensating the free field evolution."""
-        return self.phi1 + self.omega * self.dt_gap
+        return self.phi1 + float(self.omega) * self.dt_gap
 
 
 @dataclass(frozen=True)
@@ -171,15 +166,13 @@ class ErrorModel:
 
     def __post_init__(self):
         # a relative jitter above 100% no longer describes a transit time
-        if not 0.0 <= self.rel_timing_jitter <= 1.0:
-            raise ValueError(f"rel_timing_jitter must be in [0, 1], got {self.rel_timing_jitter}")
-        if not 0.0 <= self.detector_efficiency <= 1.0:
-            raise ValueError("detector_efficiency must be in [0, 1]")
+        _check_weight("rel_timing_jitter", self.rel_timing_jitter)
+        _check_weight("detector_efficiency", self.detector_efficiency)
         # sample i seeds its stream with (seed, i), and i is one 32-bit word
-        if not isinstance(self.samples, int) or not 1 <= self.samples <= 2**32:
-            raise ValueError("samples must be an integer in [1, 2**32]")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
+        _check_int("samples", self.samples, 1, 2**32, "2**32")
+        _check_int("seed", self.seed, 0, 2**64 - 1, "2**64 - 1")
+        if not isinstance(self.jitter_t1, bool):
+            raise ValueError(f"jitter_t1 must be True or False, got {self.jitter_t1!r}")
 
 
 @dataclass(frozen=True)
@@ -350,10 +343,8 @@ def predicted_psi2(p: float, phi_eff: float, delta: float, n_max: int = 2) -> Fi
     (c0, c1, c2) = (1, sqrt(2), 1 - delta), normalized exactly.  At delta = 0
     this is the two-photon binomial state (p, pi - phi_eff).
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    if n_max < 2:
-        raise ValueError("predicted_psi2 needs n_max >= 2")
+    _check_weight("p", p)
+    _check_int("n_max", n_max, 2, N_MAX_LIMIT)
     coeff = (1.0, math.sqrt(2.0), 1.0 - delta)
     amps = np.zeros(n_max + 1, dtype=np.complex128)
     for n in range(3):
@@ -417,12 +408,8 @@ def distinguish_orthogonal(field: FieldState, p: float, phi: float) -> Distingui
 
 def scan_t2(m2_min: int = M2_MIN, m2_max: int = M2_MAX) -> list:
     """Timing table over the admissible window g*T2 = pi/4 + 2 pi m2."""
-    if not (isinstance(m2_min, int) and isinstance(m2_max, int)):
-        raise ValueError("m2 bounds must be integers")
-    if m2_min > m2_max:
-        raise ValueError(f"empty m2 range [{m2_min}, {m2_max}]")
-    if m2_min < M2_MIN or m2_max > M2_MAX:
-        raise ValueError(f"m2 range must lie inside [{M2_MIN}, {M2_MAX}]")
+    _check_int("m2_min", m2_min, M2_MIN, M2_MAX)
+    _check_int("m2_max", m2_max, m2_min, M2_MAX)  # an empty range fails here
     rows = []
     for m2 in range(m2_min, m2_max + 1):
         gt2 = gt_second(m2)

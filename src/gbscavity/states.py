@@ -7,11 +7,12 @@ All state objects are immutable; every operation is a pure function.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import ATOL_ALGEBRA
+from .constants import ATOL_ALGEBRA, N_MAX_LIMIT
 
 __all__ = [
     "FieldState",
@@ -28,15 +29,26 @@ __all__ = [
     "state_from_dict",
 ]
 
+_FLOAT_MAX = sys.float_info.max
+_BOOLS = (bool, np.bool_)  # not numbers, for the checks below
 
-def _frozen_vector(values, length, what):
-    arr = np.array(values, dtype=np.complex128, copy=True).reshape(-1)
-    if arr.shape != (length,):
-        raise ValueError(f"{what} needs {length} amplitudes, got {arr.shape[0]}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} amplitudes must be finite")
-    arr.flags.writeable = False
-    return arr
+
+def _check_weight(name, value):
+    """A real number in [0, 1], not a bool."""
+    if isinstance(value, _BOOLS) or not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {value}")
+
+
+def _check_finite(name, value):
+    """A real number a float holds finitely, not a bool; an int beyond the float range fails."""
+    if isinstance(value, _BOOLS) or not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _check_int(name, value, lo, hi, hi_text=None):
+    """An integer in [lo, hi], not a bool; hi_text spells hi in the message."""
+    if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
+        raise ValueError(f"{name} must be an integer in [{lo}, {hi_text or hi}]")
 
 
 class _Normed:
@@ -50,18 +62,28 @@ class _Normed:
 
 
 @dataclass(frozen=True)
-class FieldState(_Normed):
-    """Cavity-mode state: amplitudes over |0>..|n_max>."""
+class _Blocks(_Normed):
+    """Finite amplitudes over _blocks copies of |0>..|n_max>, frozen on construction."""
 
     amps: np.ndarray
     n_max: int
+    _blocks = 1
 
     def __post_init__(self):
-        if not isinstance(self.n_max, int) or self.n_max < 0:
-            raise ValueError("n_max must be a non-negative integer")
-        object.__setattr__(
-            self, "amps", _frozen_vector(self.amps, self.n_max + 1, "FieldState")
-        )
+        _check_int("n_max", self.n_max, 0, N_MAX_LIMIT)
+        what, length = type(self).__name__, self._blocks * (self.n_max + 1)
+        arr = np.array(self.amps, dtype=np.complex128, copy=True).reshape(-1)
+        if arr.shape != (length,):
+            raise ValueError(f"{what} needs {length} amplitudes, got {arr.shape[0]}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{what} amplitudes must be finite")
+        arr.flags.writeable = False
+        object.__setattr__(self, "amps", arr)
+
+
+@dataclass(frozen=True)
+class FieldState(_Blocks):
+    """Cavity-mode state: amplitudes over |0>..|n_max>."""
 
 
 @dataclass(frozen=True)
@@ -85,18 +107,10 @@ class AtomState(_Normed):
 
 
 @dataclass(frozen=True)
-class JointState(_Normed):
+class JointState(_Blocks):
     """Joint atom-field state, atom-major: the |down, n> block precedes |up, n>."""
 
-    amps: np.ndarray
-    n_max: int
-
-    def __post_init__(self):
-        if not isinstance(self.n_max, int) or self.n_max < 0:
-            raise ValueError("n_max must be a non-negative integer")
-        object.__setattr__(
-            self, "amps", _frozen_vector(self.amps, 2 * (self.n_max + 1), "JointState")
-        )
+    _blocks = 2
 
     @property
     def down_amps(self) -> np.ndarray:
@@ -116,18 +130,15 @@ class GBSParams:
     phi: float
 
     def __post_init__(self):
-        if not isinstance(self.N, int) or self.N < 0:
-            raise ValueError("N must be a non-negative integer")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must be in [0, 1], got {self.p}")
-        if not math.isfinite(self.phi):
-            raise ValueError("phi must be finite")
+        _check_int("N", self.N, 0, N_MAX_LIMIT)
+        _check_weight("p", self.p)
+        _check_finite("phi", self.phi)
 
 
 def make_fock(n: int, n_max: int) -> FieldState:
     """Photon-number eigenstate |n> on a space truncated at n_max."""
-    if not 0 <= n <= n_max:
-        raise ValueError(f"photon number {n} outside truncation 0..{n_max}")
+    _check_int("n_max", n_max, 0, N_MAX_LIMIT)
+    _check_int("n", n, 0, n_max)
     amps = np.zeros(n_max + 1, dtype=np.complex128)
     amps[n] = 1.0
     return FieldState(amps, n_max)
@@ -139,8 +150,7 @@ def make_gbs(params: GBSParams, n_max: int) -> FieldState:
     Amplitude at |n> is [C(N, n) p^n (1-p)^(N-n)]^(1/2) e^(i n phi) for
     n <= N and zero above.  Normalized by the binomial theorem.
     """
-    if n_max < params.N:
-        raise ValueError(f"n_max={n_max} cannot hold an N={params.N} binomial state")
+    _check_int("n_max", n_max, params.N, N_MAX_LIMIT)  # n_max >= N holds the state
     N, p, phi = params.N, params.p, params.phi
     amps = np.zeros(n_max + 1, dtype=np.complex128)
     for n in range(N + 1):
@@ -155,10 +165,8 @@ def make_gamma(p: float, phi: float, n_max: int) -> FieldState:
     Amplitudes: (sqrt(2p(1-p)), (2p-1) e^(i phi), -sqrt(2p(1-p)) e^(2 i phi)).
     Orthogonal to both the (p, phi) and the (1-p, pi+phi) two-photon states.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    if n_max < 2:
-        raise ValueError("make_gamma needs n_max >= 2")
+    _check_weight("p", p)
+    _check_int("n_max", n_max, 2, N_MAX_LIMIT)
     root = math.sqrt(2.0 * p * (1.0 - p))
     amps = np.zeros(n_max + 1, dtype=np.complex128)
     amps[0] = root

@@ -73,6 +73,7 @@ def test_generate_config_errors(tmp_path):
 
     assert main(["generate"]) == 2  # p unspecified
     assert main(["generate", "--p", "1.5"]) == 2
+    assert main(["generate", "--p", "0.5", "--n-max", "1001"]) == 2  # above the n_max ceiling
 
 
 def test_config_values_have_their_json_types(tmp_path, capsys):
@@ -155,6 +156,12 @@ def test_measure_input_errors(tmp_path):
         assert main(["measure", "--state-file", str(state),
                      "--decode-p", "0.5", "--decode-phi", "0"]) == 2
     assert main(["measure", "--gbs", "2,0.3"]) == 2
+    # above the n_max ceiling, with as many amplitudes as that n_max asks for
+    assert main(["measure", "--gbs", "2,0.3,0.9", "--n-max", "1001"]) == 2
+    state.write_text(json.dumps({"n_max": 1001, "basis": "field",
+                                 "amps": [[1.0, 0.0]] + [[0.0, 0.0]] * 1001}))
+    assert main(["measure", "--state-file", str(state),
+                 "--decode-p", "0.5", "--decode-phi", "0"]) == 2
 
 
 def test_measure_has_no_csv_rendering(capsys):

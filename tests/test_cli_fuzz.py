@@ -51,12 +51,17 @@ CONFIG_FILES = {
     "p_nan": '{"p": NaN}',
     "n_max_huge": '{"p": 0.5, "n_max": 1e400}',
     "n_max_long": '{"p": 0.5, "omega": 1.0, "n_max": 1' + "0" * 400 + "}",
+    "n_max_above_ceiling": json.dumps({"p": 0.5, "n_max": 1001}),
+    "phi1_long": '{"p": 0.5, "phi1": 1' + "0" * 400 + "}",
+    "phase_long": '{"p": 0.5, "omega": 1' + "0" * 200 + ', "dt_gap": 1' + "0" * 200 + "}",
     "unknown_key": json.dumps({"p": 0.5, "bogus": 1}),
     "model_list": json.dumps({"p": 0.5, "error_model": []}),
     "model_unknown": json.dumps({"p": 0.5, "error_model": {"bogus": 1}}),
     "samples_huge": '{"p": 0.5, "error_model": {"samples": 1e400}}',
     "samples_fraction": json.dumps({"p": 0.5, "error_model": {"samples": 100.5}}),
     "seed_huge": '{"p": 0.5, "error_model": {"seed": 1e400}}',
+    "jitter_long": '{"p": 0.5, "error_model": {"rel_timing_jitter": 1' + "0" * 400 + "}}",
+    "efficiency_long": '{"p": 0.5, "error_model": {"detector_efficiency": 1' + "0" * 400 + "}}",
     "jitter_text": json.dumps({"p": 0.5, "error_model": {"rel_timing_jitter": "abc"}}),
     "garbled": "{not json",
 }
@@ -85,6 +90,7 @@ EXTRA_VALUES = {
     "--jitter": ("1e-2,0", ",", "1e-2,abc"),
     "--interaction-times": ("1e-4,3e-4", ","),
     "--units": ("si", "gt"),
+    "--n-max": ("1001",),  # above the n_max ceiling
 }
 # file flags draw a file name; the fixture maps (kind, name) to a path
 FILE_FLAGS = {
@@ -184,6 +190,14 @@ def test_free_field_overflow_is_one_usage_error(files, invocation):
 @example(invocation=OVERFLOW[2])
 @example(invocation=OVERFLOW[3])
 @example(invocation=("generate", [("--config", "n_max_long")], "json", None))
+@example(invocation=("generate", [("--n-max", "1001")], "json", None))
+@example(invocation=("measure", [("--n-max", "1001")], "json", None))
+@example(invocation=("generate", [("--config", "n_max_above_ceiling")], "json", None))
+@example(invocation=("generate", [("--config", "phi1_long")], "json", None))
+@example(invocation=("generate", [("--config", "phase_long")], "json", None))
+@example(invocation=("error-sweep", [("--config", "jitter_long"), ("--jitter", "0")], "text", None))
+@example(invocation=("error-sweep", [("--config", "jitter_long")], "text", None))
+@example(invocation=("error-sweep", [("--config", "efficiency_long")], "text", None))
 def test_every_input_ends_in_a_documented_exit_code(files, invocation):
     argv = _argv(files, *invocation)
     code, usage_error, err, caught = _run(argv)
