@@ -356,21 +356,74 @@ def cmd_feasibility(args) -> int:
     return _deliver(args, digest_obj, json_obj, human)
 
 
+_COMMON = (
+    ("--out", dict(help="directory for reports and the run manifest")),
+    ("--format", dict(choices=("json", "csv", "text"), default="text", help="stdout rendering")),
+)
+_PIPELINE = (
+    ("--config", dict(help="JSON config file")),
+    ("--p", dict(type=float, help="excited-state weight of the atomic preparation")),
+    ("--phi1", dict(type=float, help="preparation phase of atom 1")),
+    ("--omega", dict(type=float, help="bare cavity frequency")),
+    ("--dt-gap", dict(type=float, help="free evolution time between the atoms")),
+    ("--n-max", dict(type=int, help="Fock truncation")),
+    ("--m2", dict(type=int, help=f"timing index in [{M2_MIN}, {M2_MAX}]")),
+)
+# name: (command, its line in the top-level help, its flags after _COMMON's, in help order)
+_COMMANDS = {
+    "generate": (cmd_generate, "run the two-atom generation pipeline", (
+        *_PIPELINE,
+        ("--gt1", dict(type=float, help="manual first transit g*t")),
+        ("--gt2", dict(type=float, help="manual second transit g*t")),
+    )),
+    "measure": (cmd_measure, "probe a field state and decode the probe", (
+        ("--gbs", dict(help="input binomial state as 'N,p,phi'")),
+        ("--state-file", dict(help="serialized field state (JSON)")),
+        ("--n-max", dict(type=int,
+                         help=f"Fock truncation of the --gbs state (default {DEFAULT_N_MAX})")),
+        ("--decode-p", dict(type=float, help="decoding zone weight (defaults to the --gbs p)")),
+        ("--decode-phi", dict(type=float, help="decoding zone phase (defaults to the --gbs phi)")),
+    )),
+    "optimize-timing": (cmd_optimize_timing, "scan the admissible second interaction times", (
+        ("--gt-min", dict(type=float, default=0.1, help="shortest admissible g*T")),
+        ("--gt-max", dict(type=float, default=gt_second(M2_MAX), help="longest admissible g*T")),
+    )),
+    "error-sweep": (cmd_error_sweep, "Monte Carlo timing-jitter sweep", (
+        *_PIPELINE,
+        ("--jitter", dict(help="comma-separated relative jitters, e.g. '1e-2,1e-3'")),
+        ("--samples", dict(type=int, help="Monte Carlo samples (at least 100)")),
+        ("--seed", dict(type=int, help="Monte Carlo seed")),
+        ("--detector-efficiency", dict(type=float, help="Bernoulli thinning of detected samples")),
+        ("--no-t1-jitter", dict(action="store_true", help="jitter only the second transit")),
+    )),
+    "verify-basis": (cmd_verify_basis, "check the pseudo-angular-momentum eigenbasis", (
+        ("--p", dict(type=float, required=True)),
+        ("--phi", dict(type=float, default=0.0)),
+    )),
+    "feasibility": (cmd_feasibility, "coherence budget against atomic and cavity lifetimes", (
+        ("--units", dict(choices=("si",), default="si",
+                         help="time unit of every input: SI seconds")),
+        ("--tau-at", dict(type=float, required=True, help="atomic lifetime (s)")),
+        ("--tau-cav", dict(type=float, required=True, help="cavity lifetime (s)")),
+        ("--interaction-times", dict(help="comma-separated transit durations (s)")),
+        ("--sequence-duration", dict(type=float, help="total protocol duration (s)")),
+        ("--g", dict(type=float, help="derive transit times from the coupling (rad/s)")),
+        ("--dt-gap", dict(type=float, help="gap between atoms (s)")),
+        ("--m2", dict(type=int, default=5, choices=range(M2_MIN, M2_MAX + 1), metavar="M2",
+                      help="timing index for the derived T2")),
+    )),
+}
+
+
+def _add_command(parser, name):
+    """Give parser the named subcommand's flags, and its command and func defaults."""
+    func, _, flags = _COMMANDS[name]
+    for flag, kwargs in (*_COMMON, *flags):
+        parser.add_argument(flag, **kwargs)
+    parser.set_defaults(command=name, func=func)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="directory for reports and the run manifest")
-    common.add_argument("--format", choices=("json", "csv", "text"), default="text",
-                        help="stdout rendering")
-
-    pipeline = argparse.ArgumentParser(add_help=False)
-    pipeline.add_argument("--config", help="JSON config file")
-    pipeline.add_argument("--p", type=float, help="excited-state weight of the atomic preparation")
-    pipeline.add_argument("--phi1", type=float, help="preparation phase of atom 1")
-    pipeline.add_argument("--omega", type=float, help="bare cavity frequency")
-    pipeline.add_argument("--dt-gap", type=float, help="free evolution time between the atoms")
-    pipeline.add_argument("--n-max", type=int, help="Fock truncation")
-    pipeline.add_argument("--m2", type=int, help=f"timing index in [{M2_MIN}, {M2_MAX}]")
-
     # allow_abbrev=False: a flag is spelled in full, so a prefix of a flag
     # (or a removed flag that is a prefix of a kept one) is an error
     parser = argparse.ArgumentParser(
@@ -379,68 +432,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help, *parents):
-        cmd = sub.add_parser(name, parents=[common, *parents], help=help, allow_abbrev=False)
-        cmd.set_defaults(func=func, parser=cmd)
-        return cmd
-
-    gen = add("generate", cmd_generate, "run the two-atom generation pipeline", pipeline)
-    gen.add_argument("--gt1", type=float, help="manual first transit g*t")
-    gen.add_argument("--gt2", type=float, help="manual second transit g*t")
-
-    mea = add("measure", cmd_measure, "probe a field state and decode the probe")
-    mea.add_argument("--gbs", help="input binomial state as 'N,p,phi'")
-    mea.add_argument("--state-file", help="serialized field state (JSON)")
-    mea.add_argument("--n-max", type=int,
-                     help=f"Fock truncation of the --gbs state (default {DEFAULT_N_MAX})")
-    mea.add_argument("--decode-p", type=float,
-                     help="decoding zone weight (defaults to the --gbs p)")
-    mea.add_argument("--decode-phi", type=float,
-                     help="decoding zone phase (defaults to the --gbs phi)")
-
-    opt = add("optimize-timing", cmd_optimize_timing,
-              "scan the admissible second interaction times")
-    opt.add_argument("--gt-min", type=float, default=0.1, help="shortest admissible g*T")
-    opt.add_argument("--gt-max", type=float, default=gt_second(M2_MAX),
-                     help="longest admissible g*T")
-
-    err = add("error-sweep", cmd_error_sweep, "Monte Carlo timing-jitter sweep", pipeline)
-    err.add_argument("--jitter", help="comma-separated relative jitters, e.g. '1e-2,1e-3'")
-    err.add_argument("--samples", type=int, help="Monte Carlo samples (at least 100)")
-    err.add_argument("--seed", type=int, help="Monte Carlo seed")
-    err.add_argument("--detector-efficiency", type=float,
-                     help="Bernoulli thinning of detected samples")
-    err.add_argument("--no-t1-jitter", action="store_true", help="jitter only the second transit")
-
-    ver = add("verify-basis", cmd_verify_basis, "check the pseudo-angular-momentum eigenbasis")
-    ver.add_argument("--p", type=float, required=True)
-    ver.add_argument("--phi", type=float, default=0.0)
-
-    fea = add("feasibility", cmd_feasibility,
-              "coherence budget against atomic and cavity lifetimes")
-    fea.add_argument("--units", choices=("si",), default="si",
-                     help="time unit of every input: SI seconds")
-    fea.add_argument("--tau-at", type=float, required=True, help="atomic lifetime (s)")
-    fea.add_argument("--tau-cav", type=float, required=True, help="cavity lifetime (s)")
-    fea.add_argument("--interaction-times", help="comma-separated transit durations (s)")
-    fea.add_argument("--sequence-duration", type=float, help="total protocol duration (s)")
-    fea.add_argument("--g", type=float, help="derive transit times from the coupling (rad/s)")
-    fea.add_argument("--dt-gap", type=float, help="gap between atoms (s)")
-    fea.add_argument("--m2", type=int, default=5, choices=range(M2_MIN, M2_MAX + 1),
-                     metavar="M2", help="timing index for the derived T2")
-
+    for name, (_, help, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help, allow_abbrev=False), name)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = _build_parser()
+    # The full tree hands all that follows a leading subcommand to that subcommand's parser, so
+    # build it alone; any other argv (help, --version, a flag first) ends in exit 0 or 2 there.
+    if argv and argv[0] in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"gbscavity {argv[0]}", allow_abbrev=False)
+        _add_command(parser, argv[0])
+        argv = argv[1:]
+    else:
+        parser = _build_parser()
     args, extras = parser.parse_known_args(argv)
-    if extras:  # a flag before the subcommand is the top-level parser's; others, the subcommand's
-        owner = parser if argv.index(args.command) else args.parser
-        owner.error(f"unrecognized arguments: {' '.join(extras)}")
-    del args.parser, parser  # let the parsers go before the command runs
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    del parser  # let the parser go before the command runs
     try:
         return args.func(args)
     except (TruncationLeakError, ValueError, TypeError, KeyError, OSError, MemoryError) as exc:

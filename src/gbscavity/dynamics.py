@@ -110,6 +110,7 @@ def _free_phases(n_max: int, omega: float, dt: float) -> np.ndarray:
 def ramsey_prepare(p: float, phi_k: float) -> AtomState:
     """Atom superposition sqrt(p) |up> + e^(i phi_k) sqrt(1-p) |down>."""
     _check_weight("p", p)
+    _check_finite("phi_k", phi_k)
     return AtomState(*_ramsey_amps(p, phi_k))
 
 

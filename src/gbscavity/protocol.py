@@ -213,13 +213,16 @@ class FeasibilityInput:
     sequence_duration: float
 
     def __post_init__(self):
-        times = tuple(float(t) for t in self.interaction_times)
+        times = tuple(self.interaction_times)
         if not times:
             raise ValueError("interaction_times must not be empty")
-        values = (self.tau_at, self.tau_cav, self.sequence_duration) + times
-        if not all(math.isfinite(v) and v > 0.0 for v in values):
-            raise ValueError("all lifetimes and durations must be positive")
-        object.__setattr__(self, "interaction_times", times)
+        for name, value in (("tau_at", self.tau_at), ("tau_cav", self.tau_cav),
+                            ("sequence_duration", self.sequence_duration),
+                            *(("interaction_times", t) for t in times)):
+            _check_finite(name, value)
+            if not value > 0.0:
+                raise ValueError("all lifetimes and durations must be positive")
+        object.__setattr__(self, "interaction_times", tuple(float(t) for t in times))
 
 
 @dataclass(frozen=True)
@@ -344,6 +347,7 @@ def predicted_psi2(p: float, phi_eff: float, delta: float, n_max: int = 2) -> Fi
     this is the two-photon binomial state (p, pi - phi_eff).
     """
     _check_weight("p", p)
+    _check_finite("phi_eff", phi_eff)
     _check_int("n_max", n_max, 2, N_MAX_LIMIT)
     coeff = (1.0, math.sqrt(2.0), 1.0 - delta)
     amps = np.zeros(n_max + 1, dtype=np.complex128)
@@ -431,7 +435,9 @@ def optimize_t2(m2_min: int = M2_MIN, m2_max: int = M2_MAX) -> TimingResult:
 
 def delta_exp(gt2: float, rel_jitter: float) -> float:
     """Expected timing-error scale 2 (g T2)^2 (dT2 / T2)^2."""
-    if not (0.0 <= gt2 < math.inf and 0.0 <= rel_jitter < math.inf):
+    _check_finite("gt2", gt2)
+    _check_finite("rel_jitter", rel_jitter)
+    if not (gt2 >= 0.0 and rel_jitter >= 0.0):
         raise ValueError("gt2 and rel_jitter must be finite and non-negative")
     try:
         value = 2.0 * gt2**2 * rel_jitter**2

@@ -166,6 +166,7 @@ def make_gamma(p: float, phi: float, n_max: int) -> FieldState:
     Orthogonal to both the (p, phi) and the (1-p, pi+phi) two-photon states.
     """
     _check_weight("p", p)
+    _check_finite("phi", phi)
     _check_int("n_max", n_max, 2, N_MAX_LIMIT)
     root = math.sqrt(2.0 * p * (1.0 - p))
     amps = np.zeros(n_max + 1, dtype=np.complex128)

@@ -468,6 +468,37 @@ def test_missing_subcommand_is_usage_error():
     assert err.value.code == 2
 
 
+SUBCOMMANDS = ("generate", "measure", "optimize-timing", "error-sweep", "verify-basis",
+               "feasibility")
+
+
+def _exit(capsys, argv):
+    """(exit code, stdout, stderr) of an argv that argparse ends with SystemExit."""
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    return (err.value.code, *capsys.readouterr())
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    code, out, err = _exit(capsys, ["--help"])
+    assert (code, err) == (0, "")
+    assert "{" + ",".join(SUBCOMMANDS) + "}" in out
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_leading_subcommand_parses_as_in_the_full_tree(name, capsys):
+    # A leading subcommand builds its parser alone.  A flag before it sends the
+    # argv through the full tree, which hands the rest to the same subcommand's
+    # parser; that one exits (help) or errors (a bad choice) before --bogus is reported.
+    code, out, err = alone = _exit(capsys, [name, "--help"])
+    assert (code, err) == (0, "") and out.startswith(f"usage: gbscavity {name} [-h]")
+    assert _exit(capsys, ["--bogus", name, "--help"]) == alone
+    code, out, err = alone = _exit(capsys, [name, "--format=xml"])
+    assert (code, out) == (2, "")
+    assert f"gbscavity {name}: error: argument --format: invalid choice: 'xml'" in err
+    assert _exit(capsys, ["--bogus", name, "--format=xml"]) == alone
+
+
 def test_closed_stdout_pipe_is_quiet():
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader is gone before anything is written

@@ -76,6 +76,8 @@ BASE = {
     "verify-basis": ["--p=0.5"],
     "feasibility": ["--tau-at=1e-2", "--tau-cav=1e-1", "--g=314159"],
 }
+# a drawn --state-file replaces measure's --gbs; a drawn decode flag overrides these
+STATE_FILE_BASE = ["--decode-p=0.5", "--decode-phi=0"]
 FLAGS = {
     "generate": PIPELINE + ("--gt1", "--gt2"),
     "measure": ("--gbs", "--state-file", "--n-max", "--decode-p", "--decode-phi"),
@@ -134,7 +136,8 @@ def invocations(draw):
 
 
 def _argv(files, command, overrides, fmt, out):
-    argv = [command, *BASE[command], f"--format={fmt}"]
+    base = STATE_FILE_BASE if "--state-file" in dict(overrides) else BASE[command]
+    argv = [command, *base, f"--format={fmt}"]
     for flag, value in overrides:
         if flag in FILE_FLAGS:
             value = files[FILE_FLAGS[flag][0], value]
@@ -168,6 +171,14 @@ def _run(argv):
         except SystemExit as exc:  # argparse rejects malformed flags this way
             code, usage_error = exc.code, True
     return code, usage_error, stderr.getvalue(), caught
+
+
+def test_a_good_state_file_is_measured(files):
+    good = _argv(files, "measure", [("--state-file", "good")], "json", None)
+    assert _run(good)[:3] == (0, False, "")
+    # the drawn --decode-p comes after the base one, so it is the one read
+    bad_p = _argv(files, "measure", [("--state-file", "good"), ("--decode-p", "2")], "json", None)
+    assert _run(bad_p)[:3] == (2, False, "error: p must be in [0, 1], got 2.0\n")
 
 
 @pytest.mark.parametrize("invocation", OVERFLOW)

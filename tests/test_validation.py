@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from gbscavity import (M2_MAX, ErrorModel, FieldState, GBSParams, GenerationConfig, JointState,
-                       excitation_operator, j3_operator, jc_hamiltonian, make_fock, make_gamma,
-                       make_gbs, predicted_psi2, ramsey_decode_matrix, ramsey_prepare, scan_t2)
+from gbscavity import (M2_MAX, ErrorModel, FeasibilityInput, FieldState, GBSParams,
+                       GenerationConfig, JointState, delta_exp, excitation_operator, j3_operator,
+                       jc_hamiltonian, make_fock, make_gamma, make_gbs, predicted_psi2,
+                       ramsey_decode_matrix, ramsey_prepare, scan_t2)
 from gbscavity.constants import N_MAX_LIMIT
 
 
@@ -20,6 +21,7 @@ def _amps(blocks, n_max):
 
 WEIGHT = (r"must be in \[0, 1\]", (True, math.nan, -0.1, 1.1))
 PHASE = ("must be finite", (True, math.inf))
+REAL = ("must be finite", (True, math.inf, 10**400))  # 10**400: an int beyond the float range
 
 
 def count(ceiling):
@@ -43,6 +45,17 @@ SITES = {
     "GBSParams.phi": (*PHASE, lambda v: GBSParams(2, 0.5, v)),
     "ramsey_decode_matrix.phi": (*PHASE, lambda v: ramsey_decode_matrix(0.5, v)),
     "j3_operator.phi": (*PHASE, lambda v: j3_operator(0.5, v)),
+    "ramsey_prepare.phi_k": (*PHASE, lambda v: ramsey_prepare(0.5, v)),
+    "make_gamma.phi": (*PHASE, lambda v: make_gamma(0.5, v, 2)),
+    "predicted_psi2.phi_eff": (*PHASE, lambda v: predicted_psi2(0.5, v, 0.0)),
+    "FeasibilityInput.tau_at": (*REAL, lambda v: FeasibilityInput(v, 1.0, (1.0,), 1.0)),
+    "FeasibilityInput.tau_cav": (*REAL, lambda v: FeasibilityInput(1.0, v, (1.0,), 1.0)),
+    "FeasibilityInput.interaction_times": (*REAL,
+                                           lambda v: FeasibilityInput(1.0, 1.0, (1.0, v), 1.0)),
+    "FeasibilityInput.sequence_duration": (*REAL,
+                                           lambda v: FeasibilityInput(1.0, 1.0, (1.0,), v)),
+    "delta_exp.gt2": (*REAL, lambda v: delta_exp(v, 0.01)),
+    "delta_exp.rel_jitter": (*REAL, lambda v: delta_exp(1.0, v)),
     "GenerationConfig.n_max": (*count(N_MAX_LIMIT), lambda v: GenerationConfig(p=0.5, n_max=v)),
     "GenerationConfig.m2": (*count(M2_MAX), lambda v: GenerationConfig(p=0.5, m2=v)),
     "ErrorModel.samples": (*count(2**32), lambda v: ErrorModel(0.0, samples=v)),
