@@ -3,8 +3,8 @@
 Subcommands cover state generation, single-shot readout, timing optimization,
 jitter error sweeps, the pseudo-angular-momentum eigenbasis check and the
 coherence feasibility budget.  Every run prints a report to stdout (text,
-JSON or CSV) and, when --out is given, writes machine-readable files plus a
-manifest that digests the resolved configuration.
+JSON, or CSV for a table) and, when --out is given, writes machine-readable
+files plus a manifest that digests the resolved configuration.
 
 Exit codes: 0 success, 2 invalid configuration or arguments, 3 truncation
 leak, 4 verification failure.
@@ -76,12 +76,10 @@ def _csv(columns, rows) -> str:
 def _deliver(args, digest_obj, json_obj, human_text: str, csv_text: str | None = None,
              extra_files: dict | None = None) -> int:
     """Render the format, write the --out files (str as UTF-8, bytes raw) and a manifest
-    with the digested config's seed, then print: a missing format writes nothing."""
+    with the digested config's seed, then print."""
     command = args.command
     report = json.dumps(json_obj, indent=2) + "\n"
     rendered = {"json": report, "csv": csv_text, "text": human_text}[args.format]
-    if rendered is None:
-        raise ValueError(f"{command} has no CSV rendering; use json or text")
 
     if args.out:
         out = Path(args.out)
@@ -356,10 +354,6 @@ def cmd_feasibility(args) -> int:
     return _deliver(args, digest_obj, json_obj, human)
 
 
-_COMMON = (
-    ("--out", dict(help="directory for reports and the run manifest")),
-    ("--format", dict(choices=("json", "csv", "text"), default="text", help="stdout rendering")),
-)
 _PIPELINE = (
     ("--config", dict(help="JSON config file")),
     ("--p", dict(type=float, help="excited-state weight of the atomic preparation")),
@@ -369,13 +363,14 @@ _PIPELINE = (
     ("--n-max", dict(type=int, help="Fock truncation")),
     ("--m2", dict(type=int, help=f"timing index in [{M2_MIN}, {M2_MAX}]")),
 )
-# name: (command, its line in the top-level help, its flags after _COMMON's, in help order)
+# name: (command, its line in the top-level help, its flags after --out and --format in help
+# order, its --format choices: csv only where the command builds a table)
 _COMMANDS = {
     "generate": (cmd_generate, "run the two-atom generation pipeline", (
         *_PIPELINE,
         ("--gt1", dict(type=float, help="manual first transit g*t")),
         ("--gt2", dict(type=float, help="manual second transit g*t")),
-    )),
+    ), ("json", "text")),
     "measure": (cmd_measure, "probe a field state and decode the probe", (
         ("--gbs", dict(help="input binomial state as 'N,p,phi'")),
         ("--state-file", dict(help="serialized field state (JSON)")),
@@ -383,11 +378,11 @@ _COMMANDS = {
                          help=f"Fock truncation of the --gbs state (default {DEFAULT_N_MAX})")),
         ("--decode-p", dict(type=float, help="decoding zone weight (defaults to the --gbs p)")),
         ("--decode-phi", dict(type=float, help="decoding zone phase (defaults to the --gbs phi)")),
-    )),
+    ), ("json", "text")),
     "optimize-timing": (cmd_optimize_timing, "scan the admissible second interaction times", (
         ("--gt-min", dict(type=float, default=0.1, help="shortest admissible g*T")),
         ("--gt-max", dict(type=float, default=gt_second(M2_MAX), help="longest admissible g*T")),
-    )),
+    ), ("json", "csv", "text")),
     "error-sweep": (cmd_error_sweep, "Monte Carlo timing-jitter sweep", (
         *_PIPELINE,
         ("--jitter", dict(help="comma-separated relative jitters, e.g. '1e-2,1e-3'")),
@@ -395,11 +390,11 @@ _COMMANDS = {
         ("--seed", dict(type=int, help="Monte Carlo seed")),
         ("--detector-efficiency", dict(type=float, help="Bernoulli thinning of detected samples")),
         ("--no-t1-jitter", dict(action="store_true", help="jitter only the second transit")),
-    )),
+    ), ("json", "csv", "text")),
     "verify-basis": (cmd_verify_basis, "check the pseudo-angular-momentum eigenbasis", (
         ("--p", dict(type=float, required=True)),
         ("--phi", dict(type=float, default=0.0)),
-    )),
+    ), ("json", "text")),
     "feasibility": (cmd_feasibility, "coherence budget against atomic and cavity lifetimes", (
         ("--units", dict(choices=("si",), default="si",
                          help="time unit of every input: SI seconds")),
@@ -411,14 +406,16 @@ _COMMANDS = {
         ("--dt-gap", dict(type=float, help="gap between atoms (s)")),
         ("--m2", dict(type=int, default=5, choices=range(M2_MIN, M2_MAX + 1), metavar="M2",
                       help="timing index for the derived T2")),
-    )),
+    ), ("json", "text")),
 }
 
 
 def _add_command(parser, name):
     """Give parser the named subcommand's flags, and its command and func defaults."""
-    func, _, flags = _COMMANDS[name]
-    for flag, kwargs in (*_COMMON, *flags):
+    func, _, flags, formats = _COMMANDS[name]
+    parser.add_argument("--out", help="directory for reports and the run manifest")
+    parser.add_argument("--format", choices=formats, default="text", help="stdout rendering")
+    for flag, kwargs in flags:
         parser.add_argument(flag, **kwargs)
     parser.set_defaults(command=name, func=func)
 
@@ -432,7 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help, _) in _COMMANDS.items():
+    for name, (_, help, _, _) in _COMMANDS.items():
         _add_command(sub.add_parser(name, help=help, allow_abbrev=False), name)
     return parser
 
@@ -447,9 +444,7 @@ def main(argv=None) -> int:
         argv = argv[1:]
     else:
         parser = _build_parser()
-    args, extras = parser.parse_known_args(argv)
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args = parser.parse_args(argv)
     del parser  # let the parser go before the command runs
     try:
         return args.func(args)

@@ -340,7 +340,7 @@ def generation_batch(config: GenerationConfig, gt1, gt2):
 
 
 def predicted_psi2(p: float, phi_eff: float, delta: float, n_max: int = 2) -> FieldState:
-    """Analytic post-selected field at two-photon residual delta.
+    """Analytic post-selected field at two-photon residual delta in [0, 2].
 
     Amplitudes c_n [p^n (1-p)^(2-n)]^(1/2) e^(i n (pi - phi_eff)) with
     (c0, c1, c2) = (1, sqrt(2), 1 - delta), normalized exactly.  At delta = 0
@@ -348,6 +348,9 @@ def predicted_psi2(p: float, phi_eff: float, delta: float, n_max: int = 2) -> Fi
     """
     _check_weight("p", p)
     _check_finite("phi_eff", phi_eff)
+    _check_finite("delta", delta)
+    if not 0.0 <= delta <= 2.0:
+        raise ValueError(f"delta must be in [0, 2], got {delta!r}")
     _check_int("n_max", n_max, 2, N_MAX_LIMIT)
     coeff = (1.0, math.sqrt(2.0), 1.0 - delta)
     amps = np.zeros(n_max + 1, dtype=np.complex128)

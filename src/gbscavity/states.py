@@ -35,14 +35,22 @@ _BOOLS = (bool, np.bool_)  # not numbers, for the checks below
 
 def _check_weight(name, value):
     """A real number in [0, 1], not a bool."""
-    if isinstance(value, _BOOLS) or not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
+    try:
+        if not isinstance(value, _BOOLS) and 0.0 <= value <= 1.0:
+            return
+    except TypeError:  # a str, None or complex has no order; a float pays no type test
+        pass
+    raise ValueError(f"{name} must be in [0, 1], got {value!r}")
 
 
 def _check_finite(name, value):
     """A real number a float holds finitely, not a bool; an int beyond the float range fails."""
-    if isinstance(value, _BOOLS) or not -_FLOAT_MAX <= value <= _FLOAT_MAX:
-        raise ValueError(f"{name} must be finite, got {value}")
+    try:
+        if not isinstance(value, _BOOLS) and -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            return
+    except TypeError:  # a str, None or complex has no order; a float pays no type test
+        pass
+    raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _check_int(name, value, lo, hi, hi_text=None):
@@ -226,10 +234,17 @@ def state_to_dict(state) -> dict:
 
 def state_from_dict(data: dict):
     """Inverse of state_to_dict; bit-exact for finite doubles."""
-    basis = data["basis"]
-    amps = [complex(re, im) for re, im in data["amps"]]
+    try:
+        basis, pairs, n_max = data["basis"], data["amps"], data["n_max"]
+    except KeyError as exc:
+        raise ValueError(f"state has no {exc.args[0]!r} entry") from None
+    amps = []
+    for re, im in pairs:
+        _check_finite("state amplitude part", re)
+        _check_finite("state amplitude part", im)
+        amps.append(complex(re, im))
     if basis == "field":
-        return FieldState(amps, data["n_max"])
+        return FieldState(amps, n_max)
     if basis == "joint-atom-major":
-        return JointState(amps, data["n_max"])
+        return JointState(amps, n_max)
     raise ValueError(f"unknown basis label {basis!r}")

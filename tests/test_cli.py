@@ -164,8 +164,25 @@ def test_measure_input_errors(tmp_path):
                  "--decode-p", "0.5", "--decode-phi", "0"]) == 2
 
 
-def test_measure_has_no_csv_rendering(capsys):
-    assert main(["measure", "--gbs", "2,0.3,0.9", "--format", "csv"]) == 2
+def test_measure_has_no_csv_rendering(monkeypatch, capsys):
+    # csv is offered only where a table exists: the parser rejects it before any computation
+    def unreachable(*args):
+        raise AssertionError("the computation ran")
+
+    for computation in ("run_generation", "run_measurement", "verify_eigenbasis",
+                        "feasibility_check"):
+        monkeypatch.setattr(cli, computation, unreachable)
+    for argv in (["generate", "--p", "0.5"], ["measure", "--gbs", "2,0.3,0.9"],
+                 ["verify-basis", "--p", "0.5"],
+                 ["feasibility", "--tau-at", "1e-2", "--tau-cav", "1e-1", "--g", "314159"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", "csv"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"gbscavity {argv[0]}: error: argument --format: invalid choice: 'csv' "
+            "(choose from 'json', 'text')")
 
 
 # ---------------------------------------------------------- optimize-timing
@@ -283,6 +300,23 @@ def test_error_sweep_keeps_one_sample_file_per_jitter(tmp_path, capsys):
     first, second = (np.load(out / n, allow_pickle=False) for n in names)
     assert first.tobytes() != second.tobytes()
     assert len(first) == len(second) == 100
+
+
+def test_error_sweep_no_t1_jitter(tmp_path, capsys):
+    argv = ["error-sweep", "--p", "0.5", "--jitter", "1e-2", "--samples", "100", "--seed", "3"]
+    runs = []
+    for flags in ([], ["--no-t1-jitter"]):
+        out = tmp_path / f"run{len(runs)}"
+        code, report = run_json(capsys, [*argv, *flags, "--out", str(out)])
+        assert code == 0
+        assert report["model"]["jitter_t1"] is (not flags)
+        runs.append((np.load(out / "mc_samples_j0.01.npy", allow_pickle=False),
+                     json.loads((out / "manifest.json").read_text())["config_digest"]))
+    (both, both_digest), (second, second_digest) = runs
+    assert np.any(both["eps_t1"] != 0.0)
+    assert np.all(second["eps_t1"] == 0.0)
+    assert second["eps_t2"].tobytes() == both["eps_t2"].tobytes()
+    assert second_digest != both_digest
 
 
 def test_error_sweep_sample_floor():

@@ -1,11 +1,12 @@
 """Property test: every CLI input ends in a documented exit code, never a traceback.
 
-Each example is a subcommand with a valid base argv, then a few flags
-overridden as `--flag=value` with values drawn from a fixed set of awkward
-numbers and strings, malformed state and config files, and --out targets.
-An exit code outside {0, 2, 3, 4}, an exception escaping `main`, a warning
-(a real run prints it on stderr) or a stderr that is not a single `error: `
-line fails the test.
+Each example is a subcommand with a valid base argv and one of its --format
+choices, then a few flags overridden as `--flag=value` with values drawn from
+a fixed set of awkward numbers and strings, malformed state and config files,
+and --out targets.  An exit code outside {0, 2, 3, 4}, an exception escaping
+`main`, a warning (a real run prints it on stderr), a stderr that is not a
+single `error: ` line, or a format the subcommand lacks that gets past the
+argument parser fails the test.
 """
 
 import contextlib
@@ -37,6 +38,8 @@ STATE_FILES = {
     "joint": json.dumps({"n_max": 1, "basis": "joint-atom-major",
                          "amps": [[1, 0], [0, 0], [0, 0], [0, 0]]}),
     "no_basis": json.dumps({"n_max": 4, "amps": GOOD_STATE["amps"]}),
+    "no_amps": json.dumps({"n_max": 4, "basis": "field"}),
+    "amp_bool": json.dumps({**GOOD_STATE, "amps": [[True, False]] + [[False, False]] * 4}),
     "list": "[]",
     "string": '"abc"',
     "null": "null",
@@ -78,6 +81,9 @@ BASE = {
 }
 # a drawn --state-file replaces measure's --gbs; a drawn decode flag overrides these
 STATE_FILE_BASE = ["--decode-p=0.5", "--decode-phi=0"]
+# csv is offered only where the command builds a table
+FORMATS = {command: ("json", "text") for command in BASE}
+FORMATS["optimize-timing"] = FORMATS["error-sweep"] = ("json", "csv", "text")
 FLAGS = {
     "generate": PIPELINE + ("--gt1", "--gt2"),
     "measure": ("--gbs", "--state-file", "--n-max", "--decode-p", "--decode-phi"),
@@ -130,7 +136,7 @@ def invocations(draw):
     command = draw(st.sampled_from(sorted(FLAGS)))
     flags = draw(st.lists(st.sampled_from(FLAGS[command]), unique=True, max_size=3))
     overrides = [(flag, draw(st.sampled_from(_values(flag)))) for flag in flags]
-    fmt = draw(st.sampled_from(("json", "csv", "text")))
+    fmt = draw(st.sampled_from(FORMATS[command]))
     out = draw(st.sampled_from((None, "dir", "file")))
     return command, overrides, fmt, out
 
@@ -209,10 +215,13 @@ def test_free_field_overflow_is_one_usage_error(files, invocation):
 @example(invocation=("error-sweep", [("--config", "jitter_long"), ("--jitter", "0")], "text", None))
 @example(invocation=("error-sweep", [("--config", "jitter_long")], "text", None))
 @example(invocation=("error-sweep", [("--config", "efficiency_long")], "text", None))
+@example(invocation=("measure", [("--state-file", "good")], "csv", None))
 def test_every_input_ends_in_a_documented_exit_code(files, invocation):
     argv = _argv(files, *invocation)
     code, usage_error, err, caught = _run(argv)
     assert code in (0, 2, 3, 4), argv
+    if invocation[2] not in FORMATS[invocation[0]]:
+        assert usage_error, argv
     assert not caught, (argv, [str(w.message) for w in caught])
     assert "Traceback" not in err, argv
     if usage_error:

@@ -226,6 +226,17 @@ def test_serialization_rejects_unknown_basis():
         state_to_dict(AtomState(1.0, 0.0))  # only field and joint states have a basis label
 
 
+def test_serialization_rejects_missing_keys_and_bool_parts():
+    good = {"n_max": 1, "amps": [[1.0, 0.0], [0.0, 0.0]], "basis": "field"}
+    for key in good:
+        with pytest.raises(ValueError, match=f"state has no '{key}' entry"):
+            state_from_dict({k: v for k, v in good.items() if k != key})
+    # JSON true/false are not numbers, so they are not read as 1 and 0
+    for amps in ([[True, False], [0.0, 0.0]], [[1.0, 0.0], [0.0, False]]):
+        with pytest.raises(ValueError, match="state amplitude part must be finite, got"):
+            state_from_dict({**good, "amps": amps})
+
+
 def test_states_are_immutable():
     state = make_fock(0, 3)
     with pytest.raises((ValueError, RuntimeError)):

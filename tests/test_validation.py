@@ -19,9 +19,10 @@ def _amps(blocks, n_max):
     return np.zeros(blocks * (int(n_max) + 1)) if n_max >= 0 else []
 
 
-WEIGHT = (r"must be in \[0, 1\]", (True, math.nan, -0.1, 1.1))
-PHASE = ("must be finite", (True, math.inf))
-REAL = ("must be finite", (True, math.inf, 10**400))  # 10**400: an int beyond the float range
+# "0.5" and None: a value of the wrong type fails the same check
+WEIGHT = (r"must be in \[0, 1\]", (True, math.nan, -0.1, 1.1, "0.5", None))
+PHASE = ("must be finite", (True, math.inf, "0.5", None))
+REAL = ("must be finite", (True, math.inf, 10**400, "0.5", None))  # 10**400: beyond float range
 
 
 def count(ceiling):
@@ -48,6 +49,9 @@ SITES = {
     "ramsey_prepare.phi_k": (*PHASE, lambda v: ramsey_prepare(0.5, v)),
     "make_gamma.phi": (*PHASE, lambda v: make_gamma(0.5, v, 2)),
     "predicted_psi2.phi_eff": (*PHASE, lambda v: predicted_psi2(0.5, v, 0.0)),
+    # delta = 1 - sin(.) lies in [0, 2]
+    "predicted_psi2.delta": ("delta must be", (*PHASE[1], math.nan, -0.1, 2.1, 1e200),
+                             lambda v: predicted_psi2(0.5, 0.0, v)),
     "FeasibilityInput.tau_at": (*REAL, lambda v: FeasibilityInput(v, 1.0, (1.0,), 1.0)),
     "FeasibilityInput.tau_cav": (*REAL, lambda v: FeasibilityInput(1.0, v, (1.0,), 1.0)),
     "FeasibilityInput.interaction_times": (*REAL,
