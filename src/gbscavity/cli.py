@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -49,8 +50,8 @@ EXIT_VERIFY = 4
 
 _CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(GenerationConfig))
 _MODEL_KEYS = tuple(f.name for f in dataclasses.fields(ErrorModel))
-_SWEEP_CSV_COLUMNS = ("jitter", "delta_exp", "mean_infidelity", "std_infidelity",
-                      "mean_delivered_infidelity", "mean_p2", "samples_used")
+# What a command hands main to deliver: digest object, report, text, --out extras, exit code
+_Result = namedtuple("_Result", "digest report text extra_files code", defaults=(None, EXIT_OK))
 
 
 def _num(x: float) -> str:
@@ -73,27 +74,27 @@ def _csv(columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _deliver(args, digest_obj, json_obj, human_text: str, csv_text: str | None = None,
-             extra_files: dict | None = None) -> int:
-    """Render the format, write the --out files (str as UTF-8, bytes raw) and a manifest
-    with the digested config's seed, then print."""
-    command = args.command
-    report = json.dumps(json_obj, indent=2) + "\n"
-    rendered = {"json": report, "csv": csv_text, "text": human_text}[args.format]
+def _deliver(args, result: _Result) -> int:
+    """Render the format (CSV of the report's rows), write the --out files (str as UTF-8,
+    bytes raw) and a manifest with the digest's seed, print, and return the exit code."""
+    command, columns = args.command, _COMMANDS[args.command][3]
+    report = json.dumps(result.report, indent=2) + "\n"
+    csv_text = _csv(columns, result.report["rows"]) if columns else None
+    rendered = {"json": report, "csv": csv_text, "text": result.text}[args.format]
 
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         stem = command.replace("-", "_")
-        files = {f"{stem}_report.json": report, f"{stem}_summary.txt": human_text}
+        files = {f"{stem}_report.json": report, f"{stem}_summary.txt": result.text}
         if csv_text is not None:
             files[f"{stem}.csv"] = csv_text
-        files.update(extra_files or {})
-        blob = json.dumps(digest_obj, sort_keys=True, separators=(",", ":"))
+        files.update(result.extra_files or {})
+        blob = json.dumps(result.digest, sort_keys=True, separators=(",", ":"))
         manifest = {
             "command": command,
             "config_digest": hashlib.sha256(blob.encode("utf-8")).hexdigest(),
-            "seed": digest_obj.get("seed"),
+            "seed": result.digest.get("seed"),
             "tool_version": __version__,
             "outputs": sorted(files),
         }
@@ -110,7 +111,7 @@ def _deliver(args, digest_obj, json_obj, human_text: str, csv_text: str | None =
         # stdout at devnull so the interpreter's flush at exit cannot fail too.
         with open(os.devnull, "wb") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
-    return EXIT_OK
+    return result.code
 
 
 def _resolve_config(args):
@@ -143,7 +144,7 @@ def _resolve_config(args):
     return GenerationConfig(**merged), model
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> _Result:
     cfg, _ = _resolve_config(args)
     gt1 = GT_FIRST if args.gt1 is None else args.gt1
     gt2 = gt_second(cfg.m2) if args.gt2 is None else args.gt2
@@ -167,10 +168,10 @@ def cmd_generate(args) -> int:
         "target_phi": report.target.phi,
     })
     extra = {"post_field.json": json.dumps(json_obj["post_selected_field"], indent=2) + "\n"}
-    return _deliver(args, cfg_dict, json_obj, human, extra_files=extra)
+    return _Result(cfg_dict, json_obj, human, extra)
 
 
-def cmd_measure(args) -> int:
+def cmd_measure(args) -> _Result:
     if (args.state_file is None) == (args.gbs is None):
         raise ValueError("measure needs exactly one of --gbs or --state-file")
     if args.state_file:
@@ -207,10 +208,10 @@ def cmd_measure(args) -> int:
     human = _kv_text("measurement report", {
         k: json_obj[k] for k in ("decode_p", "decode_phi", "prob_up", "prob_down")
     })
-    return _deliver(args, digest_obj, json_obj, human)
+    return _Result(digest_obj, json_obj, human)
 
 
-def cmd_optimize_timing(args) -> int:
+def cmd_optimize_timing(args) -> _Result:
     inside = [m2 for m2 in range(M2_MIN, M2_MAX + 1)
               if args.gt_min <= gt_second(m2) <= args.gt_max]
     if not inside:
@@ -236,11 +237,10 @@ def cmd_optimize_timing(args) -> int:
     lines = ["timing scan", f"  {'m2':>3} {'gt2':>12} {'delta':>12}"]
     lines += [f"  {r.m2:>3} {r.gt2:>12.6g} {r.delta:>12.6g}" for r in rows]
     lines.append(f"winner: m2={winner.m2} gt2={_num(winner.gt2)} delta={_num(winner.delta)}")
-    human = "\n".join(lines) + "\n"
-    return _deliver(args, digest_obj, json_obj, human, _csv(tuple(row_dicts[0]), row_dicts))
+    return _Result(digest_obj, json_obj, "\n".join(lines) + "\n")
 
 
-def cmd_error_sweep(args) -> int:
+def cmd_error_sweep(args) -> _Result:
     cfg, model_cfg = _resolve_config(args)
 
     jitters = [model_cfg.pop("rel_timing_jitter", 1e-2)]
@@ -254,6 +254,8 @@ def cmd_error_sweep(args) -> int:
     # and holds the defaults; the report reads both back from the built model.
     models = [ErrorModel(rel_timing_jitter=jit, **model_cfg) for jit in jitters]
     jitters = [float(model.rel_timing_jitter) for model in models]
+    if len(set(jitters)) < len(jitters):  # by value: 1e-2,0.01 and 0,-0 are repeats too
+        raise ValueError(f"--jitter repeats a value: {args.jitter}")
     model = models[0]
     model_dict = {"samples": model.samples, "seed": model.seed,
                   "detector_efficiency": float(model.detector_efficiency),
@@ -292,11 +294,10 @@ def cmd_error_sweep(args) -> int:
         f" {r['mean_p2']:>10.6g} {r['samples_used']:>6}"
         for r in rows
     ]
-    human = "\n".join(lines) + "\n"
-    return _deliver(args, digest_obj, json_obj, human, _csv(_SWEEP_CSV_COLUMNS, rows), extra_files)
+    return _Result(digest_obj, json_obj, "\n".join(lines) + "\n", extra_files)
 
 
-def cmd_verify_basis(args) -> int:
+def cmd_verify_basis(args) -> _Result:
     report = verify_eigenbasis(args.p, args.phi)
     ok = report.max_residual < ATOL_ALGEBRA
 
@@ -315,11 +316,10 @@ def cmd_verify_basis(args) -> int:
         "spectrum": ", ".join(_num(v) for v in report.eigenvalues),
         "verdict": "PASS" if ok else "FAIL",
     })
-    code = _deliver(args, digest_obj, json_obj, human)
-    return code if ok else EXIT_VERIFY
+    return _Result(digest_obj, json_obj, human, code=EXIT_OK if ok else EXIT_VERIFY)
 
 
-def cmd_feasibility(args) -> int:
+def cmd_feasibility(args) -> _Result:
     if (args.interaction_times is None) == (args.g is None):
         raise ValueError("feasibility needs exactly one of --interaction-times or --g")
     if args.dt_gap is not None and (args.g is None or args.sequence_duration is not None):
@@ -351,7 +351,7 @@ def cmd_feasibility(args) -> int:
         "tau_at": inp.tau_at, "tau_cav": inp.tau_cav, **report.margins,
         "verdict": "PASS" if report.passed else "FAIL",
     })
-    return _deliver(args, digest_obj, json_obj, human)
+    return _Result(digest_obj, json_obj, human)
 
 
 _PIPELINE = (
@@ -364,13 +364,13 @@ _PIPELINE = (
     ("--m2", dict(type=int, help=f"timing index in [{M2_MIN}, {M2_MAX}]")),
 )
 # name: (command, its line in the top-level help, its flags after --out and --format in help
-# order, its --format choices: csv only where the command builds a table)
+# order, the CSV columns of its report's rows: --format csv only where the command has a table)
 _COMMANDS = {
     "generate": (cmd_generate, "run the two-atom generation pipeline", (
         *_PIPELINE,
         ("--gt1", dict(type=float, help="manual first transit g*t")),
         ("--gt2", dict(type=float, help="manual second transit g*t")),
-    ), ("json", "text")),
+    ), None),
     "measure": (cmd_measure, "probe a field state and decode the probe", (
         ("--gbs", dict(help="input binomial state as 'N,p,phi'")),
         ("--state-file", dict(help="serialized field state (JSON)")),
@@ -378,11 +378,11 @@ _COMMANDS = {
                          help=f"Fock truncation of the --gbs state (default {DEFAULT_N_MAX})")),
         ("--decode-p", dict(type=float, help="decoding zone weight (defaults to the --gbs p)")),
         ("--decode-phi", dict(type=float, help="decoding zone phase (defaults to the --gbs phi)")),
-    ), ("json", "text")),
+    ), None),
     "optimize-timing": (cmd_optimize_timing, "scan the admissible second interaction times", (
         ("--gt-min", dict(type=float, default=0.1, help="shortest admissible g*T")),
         ("--gt-max", dict(type=float, default=gt_second(M2_MAX), help="longest admissible g*T")),
-    ), ("json", "csv", "text")),
+    ), ("m2", "gt2", "sin_g_sqrt2_t2", "delta")),
     "error-sweep": (cmd_error_sweep, "Monte Carlo timing-jitter sweep", (
         *_PIPELINE,
         ("--jitter", dict(help="comma-separated relative jitters, e.g. '1e-2,1e-3'")),
@@ -390,11 +390,12 @@ _COMMANDS = {
         ("--seed", dict(type=int, help="Monte Carlo seed")),
         ("--detector-efficiency", dict(type=float, help="Bernoulli thinning of detected samples")),
         ("--no-t1-jitter", dict(action="store_true", help="jitter only the second transit")),
-    ), ("json", "csv", "text")),
+    ), ("jitter", "delta_exp", "mean_infidelity", "std_infidelity", "mean_delivered_infidelity",
+        "mean_p2", "samples_used")),
     "verify-basis": (cmd_verify_basis, "check the pseudo-angular-momentum eigenbasis", (
         ("--p", dict(type=float, required=True)),
         ("--phi", dict(type=float, default=0.0)),
-    ), ("json", "text")),
+    ), None),
     "feasibility": (cmd_feasibility, "coherence budget against atomic and cavity lifetimes", (
         ("--units", dict(choices=("si",), default="si",
                          help="time unit of every input: SI seconds")),
@@ -406,13 +407,14 @@ _COMMANDS = {
         ("--dt-gap", dict(type=float, help="gap between atoms (s)")),
         ("--m2", dict(type=int, default=5, choices=range(M2_MIN, M2_MAX + 1), metavar="M2",
                       help="timing index for the derived T2")),
-    ), ("json", "text")),
+    ), None),
 }
 
 
 def _add_command(parser, name):
     """Give parser the named subcommand's flags, and its command and func defaults."""
-    func, _, flags, formats = _COMMANDS[name]
+    func, _, flags, columns = _COMMANDS[name]
+    formats = ("json", "csv", "text") if columns else ("json", "text")
     parser.add_argument("--out", help="directory for reports and the run manifest")
     parser.add_argument("--format", choices=formats, default="text", help="stdout rendering")
     for flag, kwargs in flags:
@@ -447,7 +449,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     del parser  # let the parser go before the command runs
     try:
-        return args.func(args)
+        return _deliver(args, args.func(args))
     except (TruncationLeakError, ValueError, TypeError, KeyError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_LEAK if isinstance(exc, TruncationLeakError) else EXIT_USAGE

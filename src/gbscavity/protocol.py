@@ -303,7 +303,8 @@ def run_generation(config: GenerationConfig, *, gt1: float | None = None,
 
 
 def generation_batch(config: GenerationConfig, gt1, gt2):
-    """run_generation over arrays of g*t overrides; returns (p2, fidelity).
+    """run_generation over g*t overrides of any broadcastable shapes; returns
+    (p2, fidelity) arrays of the broadcast shape.
 
     The same transition rules and checks on the {|0>, |1>, |2>} block, which
     holds every amplitude the pipeline reaches.  At n_max < 2 no two-photon
@@ -335,7 +336,8 @@ def generation_batch(config: GenerationConfig, gt1, gt2):
     if np.any(p_second <= 0.0):
         raise ValueError("atom 2 never exits in |down>; cannot condition")
     p2 = p_first * p_second
-    fid = np.minimum(1.0, np.abs(target[:3].conj() @ d / np.sqrt(p_second)) ** 2)
+    overlap = (target[:3].conj() @ d.reshape(3, -1)).reshape(d.shape[1:])  # over the 3 levels
+    fid = np.minimum(1.0, np.abs(overlap / np.sqrt(p_second)) ** 2)
     return p2, fid
 
 

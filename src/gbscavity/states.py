@@ -234,10 +234,14 @@ def state_to_dict(state) -> dict:
 
 def state_from_dict(data: dict):
     """Inverse of state_to_dict; bit-exact for finite doubles."""
+    if not isinstance(data, dict):
+        raise ValueError(f"state must be a JSON object, got {type(data).__name__}")
     try:
         basis, pairs, n_max = data["basis"], data["amps"], data["n_max"]
     except KeyError as exc:
         raise ValueError(f"state has no {exc.args[0]!r} entry") from None
+    if not isinstance(pairs, list) or not all(isinstance(z, list) and len(z) == 2 for z in pairs):
+        raise ValueError("state amps must be a list of [re, im] pairs")
     amps = []
     for re, im in pairs:
         _check_finite("state amplitude part", re)

@@ -96,6 +96,16 @@ def test_config_values_have_their_json_types(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_config_sections_must_be_objects(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for config, message in (([], "config must be a JSON object"),
+                            ({"p": 0.5, "error_model": 5}, "error_model must be a JSON object")):
+        cfg.write_text(json.dumps(config))
+        for command in ("generate", "error-sweep"):
+            assert main([command, "--config", str(cfg)]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_generate_truncation_leak_exit_code():
     assert main(["generate", "--p", "0.5", "--n-max", "1"]) == 3
 
@@ -286,6 +296,16 @@ def test_error_sweep_rows_and_determinism(tmp_path, capsys):
     manifest = json.loads((out_a / "manifest.json").read_text())
     assert manifest["seed"] == 7
     assert manifest["command"] == "error-sweep"
+
+
+def test_error_sweep_rejects_repeated_jitter(tmp_path, capsys):
+    # a repeat would write two report rows over one sample file; values compare as floats
+    for jitters in ("1e-2,1e-2", "1e-2,0.01", "0,-0", "1e-3,1e-2,0.001"):
+        out = tmp_path / jitters
+        assert main(["error-sweep", "--p", "0.5", "--jitter", jitters, "--samples", "100",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: --jitter repeats a value: {jitters}\n")
+        assert not out.exists()
 
 
 def test_error_sweep_keeps_one_sample_file_per_jitter(tmp_path, capsys):

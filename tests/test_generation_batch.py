@@ -148,3 +148,18 @@ def test_batch_rejects_overflowing_rabi_angle():
             generation_batch(config, np.array([GT_FIRST, gt]), gt_second(5))
     p2, fid = generation_batch(config, GT_FIRST, np.array([largest, -largest]))
     assert np.all(np.isfinite(p2)) and np.all(np.isfinite(fid))
+
+
+def test_batch_keeps_the_input_shape():
+    # a (4, 5) grid, given whole or as broadcasting row and column, equals the
+    # raveled call bit for bit and comes back in the grid's shape
+    config = GenerationConfig(p=0.3, phi1=0.4, omega=0.91, dt_gap=1.0, m2=3)
+    rng = np.random.default_rng(5)
+    rows = GT_FIRST * (1.0 + 0.05 * rng.standard_normal((4, 1)))
+    cols = gt_second(config.m2) * (1.0 + 0.05 * rng.standard_normal((1, 5)))
+    gt1, gt2 = np.broadcast_arrays(rows, cols)
+    flat = generation_batch(config, gt1.ravel(), gt2.ravel())
+    for grid in (generation_batch(config, gt1, gt2), generation_batch(config, rows, cols)):
+        for got, want in zip(grid, flat):
+            assert got.shape == (4, 5)
+            assert got.tobytes() == want.tobytes()

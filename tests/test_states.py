@@ -237,6 +237,23 @@ def test_serialization_rejects_missing_keys_and_bool_parts():
             state_from_dict({**good, "amps": amps})
 
 
+@pytest.mark.parametrize("document, message", [
+    ("5", "state must be a JSON object, got int"),
+    ('"abc"', "state must be a JSON object, got str"),
+    ("[]", "state must be a JSON object, got list"),
+    ("null", "state must be a JSON object, got NoneType"),
+    *((f'{{"n_max": 2, "basis": "field", "amps": {amps}}}',
+       "state amps must be a list of [re, im] pairs")
+      for amps in ("5", "[1, 0, 0]", "[[1]]", "[[1, 0], [0, 0, 0]]", '"ab"')),
+])
+def test_serialization_rejects_wrong_shapes(document, message):
+    # JSON that is not an object, or amps that are not [re, im] pairs: one message
+    # naming what was expected, not Python's unpacking or indexing text
+    with pytest.raises(ValueError) as exc:
+        state_from_dict(json.loads(document))
+    assert str(exc.value) == message
+
+
 def test_states_are_immutable():
     state = make_fock(0, 3)
     with pytest.raises((ValueError, RuntimeError)):
