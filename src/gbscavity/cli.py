@@ -12,6 +12,7 @@ leak, 4 verification failure.
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -114,12 +115,18 @@ def _deliver(args, result: _Result) -> int:
     return result.code
 
 
+def _read_json(path):
+    """The JSON document in a file; nesting too deep to decode is a ValueError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
+
+
 def _resolve_config(args):
     """Generation config and error_model settings: config file, then flags."""
-    data = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            data = json.load(fh)
+    data = _read_json(args.config) if args.config else {}
     model = data.get("error_model", {}) if isinstance(data, dict) else None
     for what, section, keys in (("config", data, (*_CONFIG_KEYS, "error_model")),
                                 ("error_model", model, _MODEL_KEYS)):
@@ -177,7 +184,7 @@ def cmd_measure(args) -> _Result:
     if args.state_file:
         if args.n_max is not None:
             raise ValueError("--n-max builds the --gbs state; a state file carries its own n_max")
-        field = state_from_dict(json.loads(Path(args.state_file).read_text(encoding="utf-8")))
+        field = state_from_dict(_read_json(args.state_file))
         if not isinstance(field, FieldState):
             raise ValueError("state file must hold a field state")
         if args.decode_p is None or args.decode_phi is None:
@@ -422,32 +429,33 @@ def _add_command(parser, name):
     parser.set_defaults(command=name, func=func)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser(name=None) -> argparse.ArgumentParser:
+    """The named subcommand's parser alone, or with no name the full tree.  Built once per
+    process: parsing only reads a parser, and help reads its width when it is formatted."""
     # allow_abbrev=False: a flag is spelled in full, so a prefix of a flag
     # (or a removed flag that is a prefix of a kept one) is an error
+    if name:
+        parser = argparse.ArgumentParser(prog=f"gbscavity {name}", allow_abbrev=False)
+        _add_command(parser, name)
+        return parser
     parser = argparse.ArgumentParser(
         prog="gbscavity", allow_abbrev=False,
         description="Two-photon binomial cavity states: generation, readout and error budget.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help, _, _) in _COMMANDS.items():
-        _add_command(sub.add_parser(name, help=help, allow_abbrev=False), name)
+    for command, (_, help, _, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(command, help=help, allow_abbrev=False), command)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # The full tree hands all that follows a leading subcommand to that subcommand's parser, so
-    # build it alone; any other argv (help, --version, a flag first) ends in exit 0 or 2 there.
-    if argv and argv[0] in _COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"gbscavity {argv[0]}", allow_abbrev=False)
-        _add_command(parser, argv[0])
-        argv = argv[1:]
-    else:
-        parser = _build_parser()
-    args = parser.parse_args(argv)
-    del parser  # let the parser go before the command runs
+    # parse with it alone; any other argv (help, --version, a flag first) ends in exit 0 or 2 there.
+    name = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _parser(name).parse_args(argv[1:] if name else argv)
     try:
         return _deliver(args, args.func(args))
     except (TruncationLeakError, ValueError, TypeError, KeyError, OSError, MemoryError) as exc:

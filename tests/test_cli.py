@@ -174,6 +174,20 @@ def test_measure_input_errors(tmp_path):
                  "--decode-p", "0.5", "--decode-phi", "0"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "--config"],
+    ["measure", "--decode-p", "0.5", "--decode-phi", "0", "--state-file"],
+], ids=["config", "state-file"])
+def test_deeply_nested_json_is_a_usage_error(argv, tmp_path, capsys):
+    # json's decoder recurses once per level; too deep a file is named in one line, no traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    out = tmp_path / "out"
+    assert main([*argv, str(deep), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {deep}: JSON nested too deeply to read\n")
+    assert not out.exists()
+
+
 def test_measure_has_no_csv_rendering(monkeypatch, capsys):
     # csv is offered only where a table exists: the parser rejects it before any computation
     def unreachable(*args):
@@ -551,6 +565,62 @@ def test_leading_subcommand_parses_as_in_the_full_tree(name, capsys):
     assert (code, out) == (2, "")
     assert f"gbscavity {name}: error: argument --format: invalid choice: 'xml'" in err
     assert _exit(capsys, ["--bogus", name, "--format=xml"]) == alone
+
+
+# one good argv per subcommand, each with its own --out files
+GOOD_ARGV = {
+    "generate": ["generate", "--p", "0.5", "--phi1", "0.4"],
+    "measure": ["measure", "--gbs", "2,0.3,0.9", "--format", "json"],
+    "optimize-timing": ["optimize-timing", "--format", "csv"],
+    "error-sweep": ["error-sweep", "--p", "0.5", "--jitter", "1e-2,1e-3", "--samples", "200",
+                    "--seed", "3"],
+    "verify-basis": ["verify-basis", "--p", "0.5", "--format", "json"],
+    "feasibility": ["feasibility", "--tau-at", "1e-2", "--tau-cav", "1e-1", "--g", "314159"],
+}
+
+
+def _outcome(capsys, argv, out):
+    """(exit code, stdout, stderr, --out file bytes by name) of one in-process run."""
+    code = main([*argv, "--out", str(out)])
+    return (code, *capsys.readouterr(), {f.name: f.read_bytes() for f in out.iterdir()})
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_same_argv_twice_gives_the_same_bytes(name, tmp_path, capsys):
+    # each parser is built once per process and only read by parsing
+    first = _outcome(capsys, GOOD_ARGV[name], tmp_path / "first")
+    assert first[0] == 0 and first[1] and first[3]
+    misses = cli._parser.cache_info().misses
+    assert _outcome(capsys, GOOD_ARGV[name], tmp_path / "second") == first
+    assert cli._parser.cache_info().misses == misses  # the second call built no parser
+
+
+@pytest.mark.parametrize("between", [
+    ["generate", "--bogus"], ["generate", "--p"], ["generate", "-h"],
+    ["-h"], ["--bogus", "generate", "--p", "0.5"],
+], ids=["unknown-flag", "missing-value", "help", "top-help", "flag-first"])
+def test_a_rejected_parse_or_help_leaves_the_next_call_unchanged(between, tmp_path, capsys):
+    first = _outcome(capsys, GOOD_ARGV["generate"], tmp_path / "first")
+    code, _, _ = _exit(capsys, between)
+    assert code == (0 if between[-1] == "-h" else 2)
+    assert _outcome(capsys, GOOD_ARGV["generate"], tmp_path / "second") == first
+
+
+def test_cached_help_matches_a_fresh_parser(monkeypatch, capsys):
+    # help reads the terminal width when it is printed, so a parser built at one
+    # COLUMNS prints at another exactly what a parser built there prints
+    helps = {}
+    for width, other in (("80", "200"), ("200", "80")):
+        cli._parser.cache_clear()
+        monkeypatch.setenv("COLUMNS", other)
+        for argv in (["generate", "-h"], ["-h"]):
+            _exit(capsys, argv)
+        monkeypatch.setenv("COLUMNS", width)
+        cached = [_exit(capsys, argv) for argv in (["generate", "-h"], ["-h"])]
+        cli._parser.cache_clear()
+        assert [_exit(capsys, argv) for argv in (["generate", "-h"], ["-h"])] == cached
+        helps[width] = cached
+    assert helps["80"][0] != helps["200"][0]  # the width reaches the text
 
 
 def test_closed_stdout_pipe_is_quiet():

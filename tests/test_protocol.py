@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbscavity import (
     ATOL_ALGEBRA,
@@ -118,6 +120,21 @@ def test_joint_state_block_structure():
     assert np.max(np.abs(joint.up_amps[2:])) < 1e-12
     assert np.max(np.abs(joint.down_amps[3:])) < 1e-12
     assert report.leakage < 1e-12
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(n_max=st.integers(2, 50), p=st.floats(0.0, 1.0), phi1=st.floats(-10.0, 10.0),
+       omega=st.floats(-10.0, 10.0), dt_gap=st.floats(0.0, 10.0),
+       gt1=st.floats(-50.0, 50.0), gt2=st.floats(-200.0, 200.0))
+def test_generation_never_leaks(n_max, p, phi1, omega, dt_gap, gt1, gt2):
+    # each atom adds at most one photon to the vacuum, so nothing reaches above n = 2
+    config = GenerationConfig(p=p, phi1=phi1, omega=omega, dt_gap=dt_gap, n_max=n_max)
+    try:
+        report = run_generation(config, gt1=gt1, gt2=gt2)
+    except ValueError as exc:  # an atom that never exits in |down> leaves nothing to condition on
+        assert "never exits" in str(exc)
+        return
+    assert report.leakage == 0.0
 
 
 def test_gap_phase_compensation():
