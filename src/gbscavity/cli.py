@@ -31,7 +31,6 @@ from .dynamics import TruncationLeakError
 from .protocol import (
     GT_FIRST,
     ErrorModel,
-    FeasibilityInput,
     GenerationConfig,
     delta_exp,
     feasibility_check,
@@ -163,7 +162,6 @@ def cmd_generate(args) -> _Result:
         "p2": report.p2,
         "fidelity_to_target": report.fidelity_to_target,
         "infidelity": 1.0 - report.fidelity_to_target,
-        "leakage": report.leakage,
         "target": dataclasses.asdict(report.target),
         "post_selected_field": state_to_dict(report.post_selected_field),
         "joint_before_projection": state_to_dict(report.joint_before_projection),
@@ -171,7 +169,7 @@ def cmd_generate(args) -> _Result:
     human = _kv_text("generation report", {
         "p": cfg.p, "phi1": cfg.phi1, "phi_effective": cfg.phi_effective, "m2": cfg.m2,
         "gt1": gt1, "gt2": gt2,
-        **{k: json_obj[k] for k in ("p2", "fidelity_to_target", "infidelity", "leakage")},
+        **{k: json_obj[k] for k in ("p2", "fidelity_to_target", "infidelity")},
         "target_phi": report.target.phi,
     })
     extra = {"post_field.json": json.dumps(json_obj["post_selected_field"], indent=2) + "\n"}
@@ -238,8 +236,7 @@ def cmd_optimize_timing(args) -> _Result:
     json_obj = {
         "window": digest_obj,
         "rows": row_dicts,
-        "winner": {"m2": winner.m2, "gt2": winner.gt2, "delta": winner.delta,
-                   "residual_first": winner.residual_first},
+        "winner": {"m2": winner.m2, "gt2": winner.gt2, "delta": winner.delta},
     }
     lines = ["timing scan", f"  {'m2':>3} {'gt2':>12} {'delta':>12}"]
     lines += [f"  {r.m2:>3} {r.gt2:>12.6g} {r.delta:>12.6g}" for r in rows]
@@ -346,16 +343,13 @@ def cmd_feasibility(args) -> _Result:
             raise ValueError(f"--dt-gap must be non-negative and finite, got {gap}")
         sequence = (args.sequence_duration if args.sequence_duration is not None
                     else times[0] + gap + times[1])
-    inp = FeasibilityInput(tau_at=args.tau_at, tau_cav=args.tau_cav,
-                           interaction_times=times, sequence_duration=sequence)
-    report = feasibility_check(inp)
+    report = feasibility_check(args.tau_at, args.tau_cav, times, sequence)
 
-    digest_obj = {"tau_at": inp.tau_at, "tau_cav": inp.tau_cav,
-                  "interaction_times": list(inp.interaction_times),
-                  "sequence_duration": inp.sequence_duration}
+    digest_obj = {"tau_at": args.tau_at, "tau_cav": args.tau_cav,
+                  "interaction_times": list(times), "sequence_duration": sequence}
     json_obj = {"inputs": digest_obj, "pass": report.passed, "margins": report.margins}
     human = _kv_text("coherence budget (margins are lifetime/duration)", {
-        "tau_at": inp.tau_at, "tau_cav": inp.tau_cav, **report.margins,
+        "tau_at": args.tau_at, "tau_cav": args.tau_cav, **report.margins,
         "verdict": "PASS" if report.passed else "FAIL",
     })
     return _Result(digest_obj, json_obj, human)

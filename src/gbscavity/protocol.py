@@ -17,21 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import (
-    ATOL_ALGEBRA,
-    DEFAULT_N_MAX,
-    FIELD_OCCUPANCY_CUTOFF,
-    M2_MAX,
-    M2_MIN,
-    N_MAX_LIMIT,
-)
-from .dynamics import (
-    TruncationLeakError,
-    _free_phases,
-    _jc_blocks,
-    _ramsey_amps,
-    ramsey_decode_matrix,
-)
+from .constants import DEFAULT_N_MAX, M2_MAX, M2_MIN, N_MAX_LIMIT
+from .dynamics import _free_phases, _jc_blocks, _ramsey_amps, ramsey_decode_matrix
 from .states import (FieldState, GBSParams, JointState, _check_finite, _check_int,
                      _check_weight, fidelity, make_gbs)
 
@@ -45,7 +32,6 @@ __all__ = [
     "DistinguishResult",
     "ErrorModel",
     "JitterReport",
-    "FeasibilityInput",
     "FeasibilityReport",
     "gt_second",
     "scan_t2",
@@ -115,7 +101,6 @@ class GenerationReport:
     fidelity_to_target: float
     target: GBSParams
     joint_before_projection: JointState
-    leakage: float
 
 
 @dataclass(frozen=True)
@@ -124,8 +109,7 @@ class TimingResult:
 
     m2: int
     gt2: float
-    delta: float           # 1 - sin(g sqrt(2) T2), the two-photon residual
-    residual_first: float  # |1 - sin(g T2 + pi/4)|, zero by construction
+    delta: float  # 1 - sin(g sqrt(2) T2), the two-photon residual
 
 
 @dataclass(frozen=True)
@@ -204,45 +188,9 @@ class JitterReport:
 
 
 @dataclass(frozen=True)
-class FeasibilityInput:
-    """Lifetimes and durations (seconds) for the coherence budget."""
-
-    tau_at: float
-    tau_cav: float
-    interaction_times: tuple
-    sequence_duration: float
-
-    def __post_init__(self):
-        times = tuple(self.interaction_times)
-        if not times:
-            raise ValueError("interaction_times must not be empty")
-        for name, value in (("tau_at", self.tau_at), ("tau_cav", self.tau_cav),
-                            ("sequence_duration", self.sequence_duration),
-                            *(("interaction_times", t) for t in times)):
-            _check_finite(name, value)
-            if not value > 0.0:
-                raise ValueError("all lifetimes and durations must be positive")
-        object.__setattr__(self, "interaction_times", tuple(float(t) for t in times))
-
-
-@dataclass(frozen=True)
 class FeasibilityReport:
     passed: bool
     margins: dict
-
-
-def _require_no_leak(where: str, *blocks: np.ndarray) -> float:
-    """Population above the highest photon number the protocol may reach."""
-    cut = FIELD_OCCUPANCY_CUTOFF + 1
-    leak = 0.0
-    for block in blocks:
-        leak += np.sum(np.abs(block[cut:]) ** 2)
-    if leak >= ATOL_ALGEBRA:
-        raise TruncationLeakError(
-            f"population {leak:.3e} above photon number "
-            f"{FIELD_OCCUPANCY_CUTOFF} after {where}"
-        )
-    return float(leak)
 
 
 def _post_field(block: np.ndarray, prob: float) -> FieldState:
@@ -280,12 +228,10 @@ def run_generation(config: GenerationConfig, *, gt1: float | None = None,
     if p_first <= 0.0:
         raise ValueError("atom 1 never exits in |down>; cannot condition")
     field = down / math.sqrt(p_first)
-    _require_no_leak("the first transit", field)
 
     field = field * _free_phases(n_max, config.omega, config.dt_gap)
     atom_down, atom_up = _ramsey_amps(config.p, config.phi_effective)
     down, up = _jc_blocks(atom_down * field, atom_up * field, gt2)
-    leakage = _require_no_leak("the second transit", down, up)
 
     p_second = float(np.linalg.norm(down) ** 2)
     if p_second <= 0.0:
@@ -298,7 +244,6 @@ def run_generation(config: GenerationConfig, *, gt1: float | None = None,
         fidelity_to_target=fidelity(post, make_gbs(target, n_max)),
         target=target,
         joint_before_projection=JointState(np.concatenate([down, up]), n_max),
-        leakage=leakage,
     )
 
 
@@ -422,14 +367,7 @@ def scan_t2(m2_min: int = M2_MIN, m2_max: int = M2_MAX) -> list:
     rows = []
     for m2 in range(m2_min, m2_max + 1):
         gt2 = gt_second(m2)
-        rows.append(
-            TimingResult(
-                m2=m2,
-                gt2=gt2,
-                delta=1.0 - math.sin(math.sqrt(2.0) * gt2),
-                residual_first=abs(1.0 - math.sin(gt2 + math.pi / 4.0)),
-            )
-        )
+        rows.append(TimingResult(m2=m2, gt2=gt2, delta=1.0 - math.sin(math.sqrt(2.0) * gt2)))
     return rows
 
 
@@ -582,15 +520,28 @@ def monte_carlo_jitter(config: GenerationConfig, model: ErrorModel) -> JitterRep
     )
 
 
-def feasibility_check(inp: FeasibilityInput) -> FeasibilityReport:
-    """Coherence budget: every transit must beat min(tau_at, tau_cav) and the
-    whole sequence must beat tau_at, all strictly."""
-    tau_min = min(inp.tau_at, inp.tau_cav)
-    margins = {
-        f"interaction_{i}": tau_min / t for i, t in enumerate(inp.interaction_times)
-    }
-    margins["sequence"] = inp.tau_at / inp.sequence_duration
-    passed = all(t < tau_min for t in inp.interaction_times) and (
-        inp.sequence_duration < inp.tau_at
-    )
+def feasibility_check(tau_at: float, tau_cav: float, interaction_times,
+                      sequence_duration: float) -> FeasibilityReport:
+    """Coherence budget from lifetimes and durations in seconds: every transit must
+    beat min(tau_at, tau_cav) and the whole sequence must beat tau_at, all strictly.
+
+    Every input is finite and positive, and there is at least one transit.  The
+    margins are lifetime/duration, and one that overflows a float raises.
+    """
+    times = tuple(interaction_times)
+    if not times:
+        raise ValueError("interaction_times must not be empty")
+    for name, value in (("tau_at", tau_at), ("tau_cav", tau_cav),
+                        ("sequence_duration", sequence_duration),
+                        *(("interaction_times", t) for t in times)):
+        _check_finite(name, value)
+        if not value > 0.0:
+            raise ValueError("all lifetimes and durations must be positive")
+    tau_min = min(tau_at, tau_cav)
+    margins = {f"interaction_{i}": tau_min / t for i, t in enumerate(times)}
+    margins["sequence"] = tau_at / sequence_duration
+    for name, margin in margins.items():
+        if margin == math.inf:
+            raise ValueError(f"feasibility margin {name} (lifetime/duration) overflows")
+    passed = all(t < tau_min for t in times) and sequence_duration < tau_at
     return FeasibilityReport(passed=passed, margins=margins)

@@ -29,7 +29,8 @@ def test_generate_report_and_artifacts(tmp_path, capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert abs(report["infidelity"] - 1.6e-9) <= 0.3e-9
-    assert report["leakage"] < 1e-12
+    assert sorted(report) == ["config", "fidelity_to_target", "infidelity",
+                              "joint_before_projection", "p2", "post_selected_field", "target"]
 
     for name in ("generate_report.json", "generate_summary.txt",
                  "post_field.json", "manifest.json"):
@@ -489,6 +490,17 @@ def test_feasibility_input_errors(capsys):
     with pytest.raises(SystemExit) as err:
         main(["feasibility", "--tau-at", "1", "--tau-cav", "1", "--g", "1000", "--m2", "99"])
     assert err.value.code == 2
+
+
+def test_feasibility_margin_overflow_is_a_usage_error(tmp_path, capsys):
+    # each input is finite, but 1e300 / 1e-300 is not: JSON has no Infinity to write
+    out = tmp_path / "out"
+    assert main(["feasibility", "--tau-at", "1e300", "--tau-cav", "1e300",
+                 "--interaction-times", "1e-300", "--sequence-duration", "1e-300",
+                 "--format", "json", "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: feasibility margin interaction_0 (lifetime/duration) overflows\n")
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------- parser

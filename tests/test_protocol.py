@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from gbscavity import (
     ATOL_ALGEBRA,
     ErrorModel,
-    FeasibilityInput,
     GBSParams,
     GenerationConfig,
     GT_PROBE,
@@ -44,7 +43,6 @@ def test_winner_is_m2_5():
     assert best.m2 == 5
     assert abs(best.gt2 - 41.0 * math.pi / 4.0) < 1e-12
     assert best.gt2 == gt_second(5)
-    assert best.residual_first < 1e-12
 
 
 def test_winner_delta():
@@ -57,8 +55,10 @@ def test_winner_delta():
 def test_scan_rows_satisfy_first_condition():
     rows = scan_t2(0, 16)
     assert len(rows) == 17
-    for row in rows:
-        assert row.residual_first < 1e-12
+    for m2, row in enumerate(rows):
+        assert row.m2 == m2 and row.gt2 == gt_second(m2)
+        # every admissible time meets the one-photon condition sin(g T2 + pi/4) = 1
+        assert abs(1.0 - math.sin(gt_second(m2) + math.pi / 4.0)) < 1e-12
         assert 0.0 <= row.delta <= 2.0
 
 
@@ -119,7 +119,6 @@ def test_joint_state_block_structure():
     joint = report.joint_before_projection
     assert np.max(np.abs(joint.up_amps[2:])) < 1e-12
     assert np.max(np.abs(joint.down_amps[3:])) < 1e-12
-    assert report.leakage < 1e-12
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -134,7 +133,9 @@ def test_generation_never_leaks(n_max, p, phi1, omega, dt_gap, gt1, gt2):
     except ValueError as exc:  # an atom that never exits in |down> leaves nothing to condition on
         assert "never exits" in str(exc)
         return
-    assert report.leakage == 0.0
+    joint = report.joint_before_projection
+    for amps in (report.post_selected_field.amps, joint.down_amps, joint.up_amps):
+        assert np.all(amps[3:] == 0)
 
 
 def test_gap_phase_compensation():
@@ -381,10 +382,8 @@ def test_error_model_validation():
 
 
 def test_feasibility_typical_lab_numbers():
-    report = feasibility_check(FeasibilityInput(
-        tau_at=1e-2, tau_cav=1e-1,
-        interaction_times=(1e-4, 3e-4), sequence_duration=5e-4,
-    ))
+    report = feasibility_check(tau_at=1e-2, tau_cav=1e-1,
+                               interaction_times=(1e-4, 3e-4), sequence_duration=5e-4)
     assert report.passed
     assert abs(report.margins["interaction_0"] - 100.0) < 1e-9
     assert abs(report.margins["interaction_1"] - 100.0 / 3.0) < 1e-9
@@ -392,25 +391,30 @@ def test_feasibility_typical_lab_numbers():
 
 
 def test_feasibility_fails_short_lifetime():
-    report = feasibility_check(FeasibilityInput(
-        tau_at=1e-5, tau_cav=1e-1,
-        interaction_times=(1e-4,), sequence_duration=2e-4,
-    ))
+    report = feasibility_check(tau_at=1e-5, tau_cav=1e-1,
+                               interaction_times=(1e-4,), sequence_duration=2e-4)
     assert not report.passed
 
 
 def test_feasibility_boundary_is_strict():
-    report = feasibility_check(FeasibilityInput(
-        tau_at=1e-3, tau_cav=1e-3,
-        interaction_times=(1e-3,), sequence_duration=5e-4,
-    ))
+    report = feasibility_check(tau_at=1e-3, tau_cav=1e-3,
+                               interaction_times=(1e-3,), sequence_duration=5e-4)
     assert not report.passed
 
 
 def test_feasibility_validation():
-    with pytest.raises(ValueError):
-        FeasibilityInput(tau_at=-1.0, tau_cav=1.0,
-                         interaction_times=(1.0,), sequence_duration=1.0)
-    with pytest.raises(ValueError):
-        FeasibilityInput(tau_at=1.0, tau_cav=1.0,
-                         interaction_times=(), sequence_duration=1.0)
+    with pytest.raises(ValueError, match="must be positive"):
+        feasibility_check(tau_at=-1.0, tau_cav=1.0,
+                          interaction_times=(1.0,), sequence_duration=1.0)
+    with pytest.raises(ValueError, match="must not be empty"):
+        feasibility_check(tau_at=1.0, tau_cav=1.0,
+                          interaction_times=(), sequence_duration=1.0)
+
+
+def test_feasibility_margin_overflow_is_named():
+    # finite positive inputs whose lifetime/duration ratio exceeds the float range
+    for times, duration, name in (((1e-300,), 1.0, "interaction_0"),
+                                  ((1.0, 1e-300), 1.0, "interaction_1"),
+                                  ((1.0,), 1e-300, "sequence")):
+        with pytest.raises(ValueError, match=f"feasibility margin {name} "):
+            feasibility_check(1e300, 1e300, times, duration)

@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from gbscavity import (M2_MAX, ErrorModel, FeasibilityInput, FieldState, GBSParams,
-                       GenerationConfig, JointState, delta_exp, excitation_operator, j3_operator,
+from gbscavity import (M2_MAX, ErrorModel, FieldState, GBSParams, GenerationConfig, JointState,
+                       delta_exp, excitation_operator, feasibility_check, j3_operator,
                        jc_hamiltonian, make_fock, make_gamma, make_gbs, predicted_psi2,
                        ramsey_decode_matrix, ramsey_prepare, scan_t2)
 from gbscavity.constants import N_MAX_LIMIT
@@ -52,12 +52,12 @@ SITES = {
     # delta = 1 - sin(.) lies in [0, 2]
     "predicted_psi2.delta": ("delta must be", (*PHASE[1], math.nan, -0.1, 2.1, 1e200),
                              lambda v: predicted_psi2(0.5, 0.0, v)),
-    "FeasibilityInput.tau_at": (*REAL, lambda v: FeasibilityInput(v, 1.0, (1.0,), 1.0)),
-    "FeasibilityInput.tau_cav": (*REAL, lambda v: FeasibilityInput(1.0, v, (1.0,), 1.0)),
-    "FeasibilityInput.interaction_times": (*REAL,
-                                           lambda v: FeasibilityInput(1.0, 1.0, (1.0, v), 1.0)),
-    "FeasibilityInput.sequence_duration": (*REAL,
-                                           lambda v: FeasibilityInput(1.0, 1.0, (1.0,), v)),
+    "feasibility_check.tau_at": (*REAL, lambda v: feasibility_check(v, 1.0, (1.0,), 1.0)),
+    "feasibility_check.tau_cav": (*REAL, lambda v: feasibility_check(1.0, v, (1.0,), 1.0)),
+    "feasibility_check.interaction_times": (*REAL,
+                                            lambda v: feasibility_check(1.0, 1.0, (1.0, v), 1.0)),
+    "feasibility_check.sequence_duration": (*REAL,
+                                            lambda v: feasibility_check(1.0, 1.0, (1.0,), v)),
     "delta_exp.gt2": (*REAL, lambda v: delta_exp(v, 0.01)),
     "delta_exp.rel_jitter": (*REAL, lambda v: delta_exp(1.0, v)),
     "GenerationConfig.n_max": (*count(N_MAX_LIMIT), lambda v: GenerationConfig(p=0.5, n_max=v)),
