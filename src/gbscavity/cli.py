@@ -78,7 +78,7 @@ def _deliver(args, result: _Result) -> int:
     """Render the format (CSV of the report's rows), write the --out files (str as UTF-8,
     bytes raw) and a manifest with the digest's seed, print, and return the exit code."""
     command, columns = args.command, _COMMANDS[args.command][3]
-    report = json.dumps(result.report, indent=2) + "\n"
+    report = json.dumps(result.report, indent=2, allow_nan=False) + "\n"  # strict JSON
     csv_text = _csv(columns, result.report["rows"]) if columns else None
     rendered = {"json": report, "csv": csv_text, "text": result.text}[args.format]
 
@@ -233,8 +233,8 @@ def cmd_optimize_timing(args) -> _Result:
         {"m2": r.m2, "gt2": r.gt2, "sin_g_sqrt2_t2": 1.0 - r.delta, "delta": r.delta}
         for r in rows
     ]
-    json_obj = {
-        "window": digest_obj,
+    json_obj = {  # an infinite bound leaves its side open: strict JSON records it as null
+        "window": {k: v if math.isfinite(v) else None for k, v in digest_obj.items()},
         "rows": row_dicts,
         "winner": {"m2": winner.m2, "gt2": winner.gt2, "delta": winner.delta},
     }
@@ -272,6 +272,10 @@ def cmd_error_sweep(args) -> _Result:
     extra_files = {}
     for jit, model in zip(jitters, models):
         rpt = monte_carlo_jitter(cfg, model)
+        if rpt.samples_used == 0:  # every mean would be NaN, which JSON cannot hold
+            raise ValueError(f"no sample was detected at detector_efficiency="
+                             f"{model_dict['detector_efficiency']!r} and samples={model.samples}; "
+                             "raise detector_efficiency or samples")
         rows.append({
             "jitter": jit,
             "delta_exp": delta_exp(gt2, jit),

@@ -441,9 +441,81 @@ def _keyed_seed_words(seed: int, n: int) -> np.ndarray:
     return state.view("<u8").astype(np.uint64, copy=False)
 
 
+# PCG64's 128-bit LCG multiplier, split into uint64 words and the low word's 32-bit halves.
+# Every operand of the bulk arithmetic is a uint64, so numpy 1.x and NEP 50 casting agree.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_U64, _LOW32, _SHIFT32 = np.uint64, np.uint64(_MASK32), np.uint64(32)
+_MULT_HI, _MULT_LO = _U64(_PCG_MULT >> 64), _U64(_PCG_MULT & 2**64 - 1)
+_MULT_B1, _MULT_B0 = _U64(_PCG_MULT >> 32 & _MASK32), _U64(_PCG_MULT & _MASK32)
+_BLOCK = 2**11  # rows per bulk pass, so that its temporaries stay small whatever n is
+
+
+@functools.cache
+def _ziggurat_tables():
+    """numpy's standard_normal layer widths wi and fast-path thresholds: an output o with
+    idx = o & 0xff, sign = o >> 8 & 1 and rabs = o >> 9 & (2**52 - 1) below thresholds[idx]
+    gives +-rabs * wi[idx] and uses no further output.  Read off the installed numpy with a
+    local PCG64, set through its public state so that its next output is a chosen (idx, rabs).
+    rabs = 1 reads wi[idx].  A threshold is kept only if numpy takes the fast path one below
+    it; a layer that fails (layer 1 always) gets 0, so all of its rows fall back.
+    """
+    from numpy.random import PCG64, Generator
+    bits = PCG64(0)
+    rng, inverse = Generator(bits), pow(_PCG_MULT, -1, 2**128)
+
+    def draw(idx, rabs):  # numpy's normal, and whether it used exactly that one output
+        after = rabs << 9 | idx  # a state whose XSL-RR output is itself: high word 0
+        bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                      "state": {"state": (after - 1) * inverse % 2**128, "inc": 1}}
+        return rng.standard_normal(), bits.state["state"]["state"] == after
+
+    wi = np.array([draw(idx, 1)[0] for idx in range(256)])
+    thresholds = np.zeros(256, dtype=_U64)
+    for idx in range(256):  # about 2 below numpy's own; wi[-1] = wi[255] serves layer 0
+        guess = math.floor(2**52 * wi[idx - 1] / wi[idx]) - 2
+        if 1 <= guess <= 2**52 and draw(idx, guess - 1) == ((guess - 1) * wi[idx], True):
+            thresholds[idx] = guess
+    wi.flags.writeable = thresholds.flags.writeable = False
+    return wi, thresholds
+
+
+def _add128(hi, lo, b_hi, b_lo):
+    """(hi, lo) + (b_hi, b_lo) mod 2**128 on (high, low) uint64 columns."""
+    lo = lo + b_lo
+    return hi + b_hi + (lo < b_lo).astype(_U64), lo
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """PCG64's step state * multiplier + inc mod 2**128."""
+    a1, a0 = lo >> _SHIFT32, lo & _LOW32  # lo * _MULT_LO to 128 bits, from 32-bit halves
+    p00, p01, p10 = a0 * _MULT_B0, a0 * _MULT_B1, a1 * _MULT_B0
+    mid = (p00 >> _SHIFT32) + (p01 & _LOW32) + (p10 & _LOW32)
+    hi = (a1 * _MULT_B1 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (mid >> _SHIFT32)
+          + hi * _MULT_LO + lo * _MULT_HI)
+    return _add128(hi, lo * _MULT_LO, inc_hi, inc_lo)
+
+
+def _pcg_outputs(words, count):
+    """The first count outputs of PCG64 seeded with each row of the seed words (n, 4)."""
+    w0, w1, w2, w3 = words.T  # initstate = w0:w1 and initseq = w2:w3, high word first
+    inc = (w2 << _U64(1) | w3 >> _U64(63), w3 << _U64(1) | _U64(1))  # initseq << 1 | 1
+    state = _pcg_step(*_add128(*inc, w0, w1), *inc)  # 0 steps to inc; += initstate; step
+    outputs = []
+    for _ in range(count):
+        state = _pcg_step(*state, *inc)
+        value, rot = state[0] ^ state[1], state[0] >> _U64(58)  # XSL-RR
+        outputs.append(value >> rot | value << ((_U64(64) - rot) & _U64(63)))
+    return outputs
+
+
 @functools.lru_cache(maxsize=1)
 def _keyed_draws(seed: int, n: int):
-    """Read-only standard normals z (n, 2) and rolls (n,): row i is default_rng((seed, i))'s."""
+    """Read-only standard normals z (n, 2) and rolls (n,): row i is default_rng((seed, i))'s.
+
+    All streams are seeded and advanced three outputs at once, on uint64 columns: two normals
+    on numpy's ziggurat fast path and the roll (o >> 11) * 2**-53.  A row with a normal off
+    that path (about 3%) is drawn by numpy itself, from a PCG64 seeded with its words.
+    """
     # numpy.random loads lazily on numpy 2.x; keep it out of `import gbscavity`
     from numpy.random import PCG64, Generator
     from numpy.random.bit_generator import ISeedSequence
@@ -458,9 +530,22 @@ def _keyed_draws(seed: int, n: int):
         def generate_state(self, n_words, dtype=None):
             return self.words
 
+    wi, thresholds = _ziggurat_tables()
+    words = _keyed_seed_words(seed, n)
     z, rolls = np.empty((n, 2)), np.empty(n)
-    for i, words in enumerate(_keyed_seed_words(seed, n)):
-        rng = Generator(PCG64(SeedWords(words)))
+    slow = []
+    for start in range(0, n, _BLOCK):
+        rows, fast = slice(start, start + _BLOCK), True
+        *normals, roll = _pcg_outputs(words[rows], 3)
+        for k, out in enumerate(normals):
+            idx, rabs = (out & _U64(0xFF)).astype(np.intp), out >> _U64(9) & _U64(2**52 - 1)
+            x = rabs.astype(np.float64) * wi[idx]
+            z[rows, k] = np.where(out & _U64(0x100), -x, x)
+            fast = fast & (rabs < thresholds[idx])
+        rolls[rows] = (roll >> _U64(11)).astype(np.float64) * 2.0**-53
+        slow.extend(start + np.flatnonzero(~fast))
+    for i in slow:
+        rng = Generator(PCG64(SeedWords(words[i])))
         rng.standard_normal(out=z[i])
         rolls[i] = rng.random()
     z.flags.writeable = rolls.flags.writeable = False
@@ -470,9 +555,10 @@ def _keyed_draws(seed: int, n: int):
 def monte_carlo_jitter(config: GenerationConfig, model: ErrorModel) -> JitterReport:
     """Propagate interaction-time jitter through the generation pipeline.
 
-    Sample i draws from its own RNG stream np.random.default_rng((seed, i)),
-    whose seed words are derived for all samples in one pass.  The draws
-    depend only on (seed, samples), so the last set is kept read-only (24 B
+    Sample i draws from its own RNG stream np.random.default_rng((seed, i)).
+    All streams are seeded and advanced in bulk, bit for bit; the rows off
+    numpy's ziggurat fast path (about 3%) are drawn by numpy per sample.  The
+    draws depend only on (seed, samples), so the last set is kept read-only (24 B
     per sample) and a sweep's jitters share it, each scaling it bit for bit
     as rng.normal(0.0, jitter) would.  All samples go through
     generation_batch at once and the summary is reduced in sample order, so

@@ -15,9 +15,13 @@ from gbscavity import cli
 from gbscavity.cli import main
 
 
+def not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
 def run_json(capsys, argv):
     code = main(argv + ["--format", "json"])
-    return code, json.loads(capsys.readouterr().out)
+    return code, json.loads(capsys.readouterr().out, parse_constant=not_json)  # strictly
 
 
 # ----------------------------------------------------------------- generate
@@ -260,6 +264,7 @@ def test_optimize_timing_window_holds_only_times_inside(capsys):
     code, report = run_json(capsys, ["optimize-timing", "--gt-max", "inf"])
     assert code == 0
     assert [row["m2"] for row in report["rows"]] == list(range(17))
+    assert report["window"]["gt_max"] is None  # open, and strict JSON holds no Infinity
 
 
 # -------------------------------------------------------------- error-sweep
@@ -321,6 +326,22 @@ def test_error_sweep_rejects_repeated_jitter(tmp_path, capsys):
                      "--out", str(out)]) == 2
         assert capsys.readouterr() == ("", f"error: --jitter repeats a value: {jitters}\n")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("efficiency", ["0", "1e-9"])
+def test_error_sweep_rejects_a_run_that_detects_no_sample(tmp_path, capsys, efficiency):
+    # every mean over no sample is NaN, which strict JSON cannot hold
+    out = tmp_path / "run"
+    assert main(["error-sweep", "--p", "1.0", "--jitter", "1e-2", "--samples", "100",
+                 "--detector-efficiency", efficiency, "--format", "json", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: no sample was detected at detector_efficiency="
+                                       f"{float(efficiency)!r} and samples=100; "
+                                       "raise detector_efficiency or samples\n")
+    assert not out.exists()
+    # the library keeps its NaN summary for callers that count the drops themselves
+    model = ErrorModel(rel_timing_jitter=1e-2, detector_efficiency=float(efficiency), samples=100)
+    report = monte_carlo_jitter(GenerationConfig(p=1.0), model)
+    assert report.samples_used == 0 and math.isnan(report.mean_fidelity)
 
 
 def test_error_sweep_keeps_one_sample_file_per_jitter(tmp_path, capsys):

@@ -2,8 +2,11 @@
 
 Sample i of `monte_carlo_jitter` draws from `np.random.default_rng((seed, i))`.
 The seed words of all those streams are derived in one vectorized pass, which
-must reproduce numpy's `SeedSequence` exactly, and the draws must be the ones
-`default_rng` gives, compared by bytes so that a -0.0 cannot pass for 0.0.
+must reproduce numpy's `SeedSequence` exactly.  The streams then run in bulk:
+PCG64 on uint64 columns and numpy's ziggurat fast path, whose layer widths and
+thresholds are read off the installed numpy; the rows off that path are drawn
+by numpy per sample.  The draws must be the ones `default_rng` gives, compared
+by bytes so that a -0.0 cannot pass for 0.0.
 Every jitter scales the one cached set of standard normals per (seed, samples);
 that must not depend on which run filled the cache.  numpy.random itself must
 stay out of the package import.
@@ -19,10 +22,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.random.bit_generator import ISeedSequence
 
 import gbscavity
 from gbscavity import ErrorModel, GenerationConfig, monte_carlo_jitter
-from gbscavity.protocol import _keyed_draws, _keyed_seed_words
+from gbscavity.protocol import (_PCG_MULT, _keyed_draws, _keyed_seed_words, _pcg_outputs,
+                                _ziggurat_tables)
 
 # seeds of 1 and 2 uint32 words, and the boundary between them
 EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1)
@@ -41,6 +46,74 @@ def test_seed_words_match_seed_sequence(seed, n):
     assert words.dtype == np.uint64
     expected = [np.random.SeedSequence((seed, i)).generate_state(4, np.uint64) for i in range(n)]
     assert np.array_equal(words, np.array(expected))
+
+
+class Words(ISeedSequence):
+    """Seeds PCG64 with the given four uint64 words, as a SeedSequence's generate_state would."""
+
+    def __init__(self, words):
+        self.words = np.asarray(words, dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=None):
+        return self.words
+
+
+def test_bulk_pcg64_matches_numpy_at_word_extremes():
+    # all-zero and all-one words put every carry of the 128-bit step at its edge
+    top = 2**64 - 1
+    rows = [(0, 0, 0, 0), (top, top, top, top), (0, top, top, 0), (top, 0, 0, top), (1, 2, 3, 4)]
+    drawn = np.random.default_rng(3).integers(0, top, (50, 4), dtype=np.uint64, endpoint=True)
+    words = np.array(rows + drawn.tolist(), dtype=np.uint64)
+    expected = np.array([np.random.PCG64(Words(w)).random_raw(3) for w in words])
+    assert np.array_equal(np.stack(_pcg_outputs(words, 3), axis=1), expected)
+
+
+@pytest.mark.parametrize("seed", (0, 7, 2**32 - 1, 2**32, 2**64 - 1))
+def test_bulk_draws_equal_default_rng_streams(seed):
+    n = 10000
+    _keyed_draws.cache_clear()
+    z, rolls = _keyed_draws(seed, n)
+    expected_z, expected_rolls = np.empty((n, 2)), np.empty(n)
+    raw = np.empty((n, 2), dtype=np.uint64)
+    for i in range(n):
+        rng = np.random.default_rng((seed, i))
+        state = rng.bit_generator.state
+        raw[i] = rng.bit_generator.random_raw(2)
+        rng.bit_generator.state = state
+        rng.standard_normal(out=expected_z[i])
+        expected_rolls[i] = rng.random()
+    assert z.tobytes() == expected_z.tobytes()
+    assert rolls.tobytes() == expected_rolls.tobytes()
+    # the compared rows hold both kinds: bulk (both normals under their layer's
+    # threshold) and numpy's own draws, which stay a few percent
+    _, thresholds = _ziggurat_tables()
+    idx, rabs = (raw & np.uint64(0xFF)).astype(np.intp), raw >> np.uint64(9) & np.uint64(2**52 - 1)
+    fallback = ~np.all(rabs < thresholds[idx], axis=1)
+    assert 0 < np.count_nonzero(fallback) < 0.05 * n
+
+
+@pytest.mark.parametrize("sign", (0, 1))
+def test_every_ziggurat_threshold_is_on_numpys_fast_path(sign):
+    """One below each layer's threshold, numpy returns +-rabs * wi[idx] from one output.
+
+    The state is set through PCG64's public state setter so that its next output carries
+    (idx, sign, rabs); the next state's low word is that output when its high word is 0.
+    """
+    wi, thresholds = _ziggurat_tables()
+    assert not wi.flags.writeable and not thresholds.flags.writeable  # cached for every caller
+    assert thresholds[1] == 0  # numpy's layer 1 never takes the fast path
+    bits = np.random.PCG64(0)
+    rng, inc = np.random.Generator(bits), 2**100 + 12345
+    inverse = pow(_PCG_MULT, -1, 2**128)
+    for idx in np.flatnonzero(thresholds):
+        rabs = int(thresholds[idx]) - 1
+        assert 0 <= rabs < 2**52
+        after = rabs << 9 | sign << 8 | int(idx)
+        bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                      "state": {"state": (after - inc) * inverse % 2**128, "inc": inc}}
+        value = np.float64(rabs) * wi[idx]
+        assert np.float64(rng.standard_normal()).tobytes() == (-value if sign else value).tobytes()
+        assert bits.state["state"]["state"] == after, idx
 
 
 def keyed_draws(seed, n, jitter, efficiency):
