@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import FieldState, GBSParams, _check_finite, _check_weight, make_gamma, make_gbs
+from .states import (FieldState, GBSParams, _check_finite, _check_weight, _norm, make_gamma,
+                     make_gbs)
 
 __all__ = [
     "EigenbasisReport",
@@ -77,7 +78,7 @@ def verify_eigenbasis(p: float, phi: float) -> EigenbasisReport:
     """Check the analytic eigenpairs of j3_operator(p, phi)."""
     op = j3_operator(p, phi)
     residuals = tuple(
-        float(np.linalg.norm(op @ state.amps - lam * state.amps))
+        _norm(op @ state.amps - lam * state.amps)
         for state, lam in zip(spin1_triple(p, phi), (1.0, 0.0, -1.0))
     )
     spectrum = np.linalg.eigvalsh(op)[::-1]

@@ -28,6 +28,11 @@ __all__ = [
     "excitation_operator",
 ]
 
+# sqrt(n) for n = 0..N_MAX_LIMIT + 1: the coupling factors of every truncation
+_ROOTS = np.sqrt(np.arange(N_MAX_LIMIT + 2))
+_ROOTS.flags.writeable = False
+
+
 class TruncationLeakError(RuntimeError):
     """Amplitude would be pushed past the highest retained photon number."""
 
@@ -58,9 +63,8 @@ def _jc_blocks(down: np.ndarray, up: np.ndarray, gt: float) -> tuple[np.ndarray,
     """jc_closed_form on the (down, up) amplitude blocks; returns new blocks."""
     _check_truncation(up)
     d = down.size
-    ns = np.arange(d)
-    theta_down = gt * np.sqrt(ns)
-    theta_up = gt * np.sqrt(ns + 1.0)
+    theta_down = gt * _ROOTS[:d]
+    theta_up = gt * _ROOTS[1 : d + 1]
     out_down = np.cos(theta_down) * down
     out_up = np.cos(theta_up) * up
     out_up[: d - 1] += np.sin(theta_down[1:]) * down[1:]

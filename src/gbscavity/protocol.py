@@ -20,7 +20,7 @@ import numpy as np
 from .constants import DEFAULT_N_MAX, M2_MAX, M2_MIN, N_MAX_LIMIT
 from .dynamics import _free_phases, _jc_blocks, _ramsey_amps, ramsey_decode_matrix
 from .states import (FieldState, GBSParams, JointState, _check_finite, _check_int,
-                     _check_weight, fidelity, make_gbs)
+                     _check_weight, _norm, _require_finite_phases, fidelity, make_gbs)
 
 __all__ = [
     "GT_FIRST",
@@ -195,7 +195,7 @@ class FeasibilityReport:
 
 def _post_field(block: np.ndarray, prob: float) -> FieldState:
     """Normalized field left by an atomic outcome; a zero-probability branch stays zero."""
-    return FieldState(block if prob <= 0.0 else block / math.sqrt(prob), block.size - 1)
+    return FieldState._own(block if prob <= 0.0 else block / math.sqrt(prob), block.size - 1)
 
 
 def _require_finite_rabi_angles(n_max: int, gt1, gt2) -> None:
@@ -224,7 +224,7 @@ def run_generation(config: GenerationConfig, *, gt1: float | None = None,
     vacuum = np.eye(1, n_max + 1, dtype=np.complex128)[0]  # make_fock(0, n_max).amps
     atom_down, atom_up = _ramsey_amps(config.p, config.phi1)
     down, _ = _jc_blocks(atom_down * vacuum, atom_up * vacuum, gt1)
-    p_first = float(np.linalg.norm(down) ** 2)
+    p_first = _norm(down) ** 2
     if p_first <= 0.0:
         raise ValueError("atom 1 never exits in |down>; cannot condition")
     field = down / math.sqrt(p_first)
@@ -233,7 +233,7 @@ def run_generation(config: GenerationConfig, *, gt1: float | None = None,
     atom_down, atom_up = _ramsey_amps(config.p, config.phi_effective)
     down, up = _jc_blocks(atom_down * field, atom_up * field, gt2)
 
-    p_second = float(np.linalg.norm(down) ** 2)
+    p_second = _norm(down) ** 2
     if p_second <= 0.0:
         raise ValueError("atom 2 never exits in |down>; cannot condition")
     post = _post_field(down, p_second)
@@ -243,7 +243,7 @@ def run_generation(config: GenerationConfig, *, gt1: float | None = None,
         p2=p_first * p_second,
         fidelity_to_target=fidelity(post, make_gbs(target, n_max)),
         target=target,
-        joint_before_projection=JointState(np.concatenate([down, up]), n_max),
+        joint_before_projection=JointState._own(np.concatenate([down, up]), n_max),
     )
 
 
@@ -299,12 +299,13 @@ def predicted_psi2(p: float, phi_eff: float, delta: float, n_max: int = 2) -> Fi
     if not 0.0 <= delta <= 2.0:
         raise ValueError(f"delta must be in [0, 2], got {delta!r}")
     _check_int("n_max", n_max, 2, N_MAX_LIMIT)
+    _require_finite_phases(2, math.pi - phi_eff)
     coeff = (1.0, math.sqrt(2.0), 1.0 - delta)
     amps = np.zeros(n_max + 1, dtype=np.complex128)
     for n in range(3):
         mag = coeff[n] * math.sqrt(p**n * (1.0 - p) ** (2 - n))
         amps[n] = mag * np.exp(1j * n * (math.pi - phi_eff))
-    norm = np.linalg.norm(amps)
+    norm = _norm(amps)
     if norm == 0.0:
         raise ValueError("predicted state vanishes for these parameters")
     return FieldState(amps / norm, n_max)
@@ -326,10 +327,10 @@ def run_measurement(field: FieldState, p: float, phi: float) -> MeasurementRepor
     # probe (1, 0) on (|down>, |up>) times the field, as atom (x) field forms it: same zero signs
     down, up = _jc_blocks((1 + 0j) * field.amps, 0j * field.amps, GT_PROBE)
 
-    m = ramsey_decode_matrix(p, phi)
-    down, up = m[0, 0] * down + m[0, 1] * up, m[1, 0] * down + m[1, 1] * up
-    prob_down = float(np.linalg.norm(down) ** 2)
-    prob_up = float(np.linalg.norm(up) ** 2)
+    (m00, m01), (m10, m11) = ramsey_decode_matrix(p, phi).tolist()
+    down, up = m00 * down + m01 * up, m10 * down + m11 * up
+    prob_down = _norm(down) ** 2
+    prob_up = _norm(up) ** 2
     return MeasurementReport(
         prob_up=prob_up,
         prob_down=prob_down,

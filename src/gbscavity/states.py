@@ -4,6 +4,10 @@ Field states hold complex amplitudes over the photon-number basis
 |0>, ..., |n_max>.  Joint atom-field states use a fixed atom-major layout:
 indices 0..n_max are |down, n> and indices n_max+1..2*n_max+1 are |up, n>.
 All state objects are immutable; every operation is a pure function.
+The public constructors copy and check their amplitudes.  A state the
+package builds itself from checked inputs (make_gbs, make_gamma and the
+protocol's outputs) is not checked again, and is frozen and read-only all
+the same.
 """
 
 import math
@@ -59,11 +63,17 @@ def _check_int(name, value, lo, hi, hi_text=None):
         raise ValueError(f"{name} must be an integer in [{lo}, {hi_text or hi}]")
 
 
+def _norm(a: np.ndarray) -> float:
+    """np.linalg.norm of a 1-D complex vector by its own formula, without its dispatch:
+    the same bits, and the same overflow warning from the same float add."""
+    return math.sqrt(a.real.dot(a.real) + a.imag.dot(a.imag))
+
+
 class _Normed:
     """norm() and is_normalized() over the subclass's `amps`."""
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        return _norm(self.amps)
 
     def is_normalized(self) -> bool:
         return abs(self.norm() ** 2 - 1.0) <= ATOL_ALGEBRA
@@ -83,10 +93,20 @@ class _Blocks(_Normed):
         arr = np.array(self.amps, dtype=np.complex128, copy=True).reshape(-1)
         if arr.shape != (length,):
             raise ValueError(f"{what} needs {length} amplitudes, got {arr.shape[0]}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError(f"{what} amplitudes must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "amps", arr)
+
+    @classmethod
+    def _own(cls, arr: np.ndarray, n_max: int):
+        """Wrap arr without copy or check: a fresh complex128 vector of _blocks * (n_max + 1)
+        finite amplitudes, built from checked inputs and shared with nothing."""
+        arr.flags.writeable = False
+        state = object.__new__(cls)
+        object.__setattr__(state, "amps", arr)
+        object.__setattr__(state, "n_max", n_max)
+        return state
 
 
 @dataclass(frozen=True)
@@ -143,6 +163,12 @@ class GBSParams:
         _check_finite("phi", self.phi)
 
 
+def _require_finite_phases(top: int, phi: float) -> None:
+    """e^(i n phi) is finite for every n <= top exactly when top * phi is."""
+    if not abs(top * float(phi)) <= _FLOAT_MAX:  # as complex(0, n) * phi rounds it
+        raise ValueError("FieldState amplitudes must be finite")
+
+
 def make_fock(n: int, n_max: int) -> FieldState:
     """Photon-number eigenstate |n> on a space truncated at n_max."""
     _check_int("n_max", n_max, 0, N_MAX_LIMIT)
@@ -160,11 +186,12 @@ def make_gbs(params: GBSParams, n_max: int) -> FieldState:
     """
     _check_int("n_max", n_max, params.N, N_MAX_LIMIT)  # n_max >= N holds the state
     N, p, phi = params.N, params.p, params.phi
+    _require_finite_phases(N, phi)
     amps = np.zeros(n_max + 1, dtype=np.complex128)
     for n in range(N + 1):
         weight = math.comb(N, n) * p**n * (1.0 - p) ** (N - n)
         amps[n] = math.sqrt(weight) * np.exp(1j * n * phi)
-    return FieldState(amps, n_max)
+    return FieldState._own(amps, n_max)
 
 
 def make_gamma(p: float, phi: float, n_max: int) -> FieldState:
@@ -176,12 +203,13 @@ def make_gamma(p: float, phi: float, n_max: int) -> FieldState:
     _check_weight("p", p)
     _check_finite("phi", phi)
     _check_int("n_max", n_max, 2, N_MAX_LIMIT)
+    _require_finite_phases(2, phi)
     root = math.sqrt(2.0 * p * (1.0 - p))
     amps = np.zeros(n_max + 1, dtype=np.complex128)
     amps[0] = root
     amps[1] = (2.0 * p - 1.0) * np.exp(1j * phi)
     amps[2] = -root * np.exp(2j * phi)
-    return FieldState(amps, n_max)
+    return FieldState._own(amps, n_max)
 
 
 def inner(a, b) -> complex:

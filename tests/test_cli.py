@@ -255,6 +255,17 @@ def test_generate_rejects_overflowing_rabi_angle(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_generate_rejects_a_target_phase_that_overflows(tmp_path, capsys):
+    # phi1 = 1e308 is finite, but the target's e^(2 i phi) is not: one usage error,
+    # raised before numpy computes it, so no numpy warning either
+    out = tmp_path / "run"
+    assert main(["generate", "--p", "0.5", "--phi1=1e308", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: FieldState amplitudes must be finite\n"
+    assert not out.exists()
+
+
 def test_optimize_timing_window_holds_only_times_inside(capsys):
     code, report = run_json(capsys, ["optimize-timing", "--gt-min", "0.5", "--gt-max", "8"])
     assert code == 0

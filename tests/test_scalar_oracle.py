@@ -1,12 +1,13 @@
 """Property test: the array-level scalar path against its object-level composition.
 
 `run_generation` and `run_measurement` carry the (down, up) amplitude blocks
-as plain arrays and build only the states they return.  The oracles below
-compose the same steps from the public state objects and the helpers of
-oracle.py (ramsey_prepare -> tensor -> jc_closed_form -> project_atom ->
-free_field_evolve -> ...), so both paths must agree bit for bit: amplitudes
-by `tobytes()`, every float by `==`, and wherever the oracle raises, the same
-exception class.
+as plain arrays and build only the states they return, unchecked.  The oracles
+below compose the same steps from the public, checked state constructors, the
+helpers of oracle.py (ramsey_prepare -> tensor -> jc_closed_form ->
+project_atom -> free_field_evolve -> ...) and np.linalg.norm, so both paths
+must agree bit for bit: amplitudes by `tobytes()`, every float by `==`, and
+wherever the oracle raises, the same exception class.  `distinguish_orthogonal`
+and `verify_eigenbasis` are held to the same rule.
 """
 
 import math
@@ -20,6 +21,8 @@ from gbscavity import (
     GT_FIRST,
     GT_PROBE,
     AtomState,
+    DistinguishResult,
+    EigenbasisReport,
     FieldState,
     GBSParams,
     GenerationConfig,
@@ -37,8 +40,10 @@ from gbscavity import (
     make_gbs,
     ramsey_decode_matrix,
     ramsey_prepare,
+    distinguish_orthogonal,
     run_generation,
     run_measurement,
+    verify_eigenbasis,
 )
 from oracle import project_atom, tensor
 
@@ -187,3 +192,66 @@ def test_j3_operator_matches_fresh_ladder_composition(p, phi):
         np.exp(-1j * phi) * plus + np.exp(1j * phi) * minus
     ) - (2.0 * p - 1.0) * zero
     assert j3_operator(p, phi).tobytes() == want.tobytes()
+
+
+def oracle_distinguish(field: FieldState, p: float, phi: float) -> DistinguishResult:
+    m = oracle_measurement(field, p, phi)
+    up = m.prob_up >= m.prob_down
+    return DistinguishResult(label="2GBS(p,phi)" if up else "2GBS(1-p,pi+phi)",
+                             confidence=m.prob_up if up else m.prob_down,
+                             prob_up=m.prob_up, prob_down=m.prob_down)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(measurement_cases())
+@example(case=(make_gbs(GBSParams(2, 0.5, math.pi + 0.3), 4), 0.5, 0.3))  # the partner
+@example(case=(make_gbs(GBSParams(2, 0.5, 0.3), 4), 0.5, 0.3))
+@example(case=(make_fock(1, 2), 0.5, 0.0))  # equal probabilities: the tie goes to |up>
+def test_distinguish_orthogonal_matches_object_composition(case):
+    field, p, phi = case
+    got, got_error = _outcome(lambda: distinguish_orthogonal(field, p, phi))
+    want, want_error = _outcome(lambda: oracle_distinguish(field, p, phi))
+    assert got_error is want_error
+    if want is None:
+        return
+    assert got.label == want.label
+    assert got.confidence == want.confidence
+    assert got.prob_up == want.prob_up
+    assert got.prob_down == want.prob_down
+
+
+def _checked_binomial(p: float, phi: float) -> FieldState:
+    """The two-photon binomial state (p, phi) from its formula, through the checked constructor."""
+    return FieldState([math.sqrt(math.comb(2, n) * p**n * (1.0 - p) ** (2 - n))
+                       * np.exp(1j * n * phi) for n in range(3)], 2)
+
+
+def _checked_gamma(p: float, phi: float) -> FieldState:
+    root = math.sqrt(2.0 * p * (1.0 - p))
+    return FieldState([root, (2.0 * p - 1.0) * np.exp(1j * phi), -root * np.exp(2j * phi)], 2)
+
+
+def oracle_eigenbasis(p: float, phi: float) -> EigenbasisReport:
+    op = j3_operator(p, phi)  # held to its fresh ladder composition below
+    triple = (_checked_binomial(p, phi), _checked_gamma(p, phi),
+              _checked_binomial(1.0 - p, math.pi + phi))
+    residuals = tuple(float(np.linalg.norm(op @ v.amps - lam * v.amps))
+                      for v, lam in zip(triple, (1.0, 0.0, -1.0)))
+    return EigenbasisReport(eigenvalues=tuple(float(x) for x in np.linalg.eigvalsh(op)[::-1]),
+                            residuals=residuals)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(probabilities, st.sampled_from((-0.5, 1.5))),
+       st.one_of(phases, st.floats(-1e300, 1e300)))
+@example(p=0.5, phi=0.0)
+@example(p=0.0, phi=math.pi)
+@example(p=1.0, phi=-0.0)
+def test_verify_eigenbasis_matches_object_composition(p, phi):
+    got, got_error = _outcome(lambda: verify_eigenbasis(p, phi))
+    want, want_error = _outcome(lambda: oracle_eigenbasis(p, phi))
+    assert got_error is want_error
+    if want is None:
+        return
+    assert got.eigenvalues == want.eigenvalues
+    assert got.residuals == want.residuals
