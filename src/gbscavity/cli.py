@@ -217,15 +217,14 @@ def cmd_measure(args) -> _Result:
 
 
 def cmd_optimize_timing(args) -> _Result:
-    inside = [m2 for m2 in range(M2_MIN, M2_MAX + 1)
-              if args.gt_min <= gt_second(m2) <= args.gt_max]
-    if not inside:
+    # g*T2 rises with m2, so the rows inside the window form one contiguous range
+    rows = [r for r in scan_t2() if args.gt_min <= r.gt2 <= args.gt_max]
+    if not rows:
         raise ValueError(
             f"window [{args.gt_min}, {args.gt_max}] holds no admissible "
             f"g*T2 = pi/4 + 2 pi m2 with m2 in [{M2_MIN}, {M2_MAX}]"
         )
-    lo, hi = inside[0], inside[-1]
-    rows = scan_t2(lo, hi)
+    lo, hi = rows[0].m2, rows[-1].m2
     winner = optimize_t2(lo, hi)
 
     digest_obj = {"gt_min": args.gt_min, "gt_max": args.gt_max, "m2_min": lo, "m2_max": hi}
@@ -347,14 +346,14 @@ def cmd_feasibility(args) -> _Result:
             raise ValueError(f"--dt-gap must be non-negative and finite, got {gap}")
         sequence = (args.sequence_duration if args.sequence_duration is not None
                     else times[0] + gap + times[1])
-    report = feasibility_check(args.tau_at, args.tau_cav, times, sequence)
+    passed, margins = feasibility_check(args.tau_at, args.tau_cav, times, sequence)
 
     digest_obj = {"tau_at": args.tau_at, "tau_cav": args.tau_cav,
                   "interaction_times": list(times), "sequence_duration": sequence}
-    json_obj = {"inputs": digest_obj, "pass": report.passed, "margins": report.margins}
+    json_obj = {"inputs": digest_obj, "pass": passed, "margins": margins}
     human = _kv_text("coherence budget (margins are lifetime/duration)", {
-        "tau_at": args.tau_at, "tau_cav": args.tau_cav, **report.margins,
-        "verdict": "PASS" if report.passed else "FAIL",
+        "tau_at": args.tau_at, "tau_cav": args.tau_cav, **margins,
+        "verdict": "PASS" if passed else "FAIL",
     })
     return _Result(digest_obj, json_obj, human)
 

@@ -29,10 +29,8 @@ __all__ = [
     "GenerationReport",
     "TimingResult",
     "MeasurementReport",
-    "DistinguishResult",
     "ErrorModel",
     "JitterReport",
-    "FeasibilityReport",
     "gt_second",
     "scan_t2",
     "optimize_t2",
@@ -85,6 +83,7 @@ class GenerationConfig:
         # the largest free-field phase, in floats as free_field_evolve computes it
         _check_finite("the free-field phase n_max*omega*dt_gap",
                       float(self.n_max) * self.omega * self.dt_gap)
+        _require_finite_phases(2, math.pi - self.phi_effective, "(pi - phi_effective)")
 
     @property
     def phi_effective(self) -> float:
@@ -121,15 +120,15 @@ class MeasurementReport:
     post_field_up: FieldState
     post_field_down: FieldState
 
+    @property
+    def label(self) -> str:
+        """The pair member the probe votes for: |up> (ties included) for (p, phi)."""
+        return "2GBS(p,phi)" if self.prob_up >= self.prob_down else "2GBS(1-p,pi+phi)"
 
-@dataclass(frozen=True)
-class DistinguishResult:
-    """Single-shot label for a field assumed to be one of the orthogonal pair."""
-
-    label: str
-    confidence: float
-    prob_up: float
-    prob_down: float
+    @property
+    def confidence(self) -> float:
+        """Probability of the voted outcome; near 1/2 it flags a field outside the pair."""
+        return self.prob_up if self.prob_up >= self.prob_down else self.prob_down
 
 
 @dataclass(frozen=True)
@@ -185,12 +184,6 @@ class JitterReport:
         """
         kept = self.samples[self.samples.detected]
         return float(np.mean(1.0 - kept.p2 * kept.fidelity)) if kept.size else float("nan")
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    passed: bool
-    margins: dict
 
 
 def _post_field(block: np.ndarray, prob: float) -> FieldState:
@@ -299,7 +292,7 @@ def predicted_psi2(p: float, phi_eff: float, delta: float, n_max: int = 2) -> Fi
     if not 0.0 <= delta <= 2.0:
         raise ValueError(f"delta must be in [0, 2], got {delta!r}")
     _check_int("n_max", n_max, 2, N_MAX_LIMIT)
-    _require_finite_phases(2, math.pi - phi_eff)
+    _require_finite_phases(2, math.pi - phi_eff, "(pi - phi_eff)")
     coeff = (1.0, math.sqrt(2.0), 1.0 - delta)
     amps = np.zeros(n_max + 1, dtype=np.complex128)
     for n in range(3):
@@ -339,26 +332,15 @@ def run_measurement(field: FieldState, p: float, phi: float) -> MeasurementRepor
     )
 
 
-def distinguish_orthogonal(field: FieldState, p: float, phi: float) -> DistinguishResult:
+def distinguish_orthogonal(field: FieldState, p: float, phi: float) -> MeasurementReport:
     """Label a field as either of the orthogonal two-photon binomial pair.
 
     A probe exiting in |up> votes for (p, phi), in |down> for
-    (1-p, pi + phi).  The confidence is the probability of the majority
-    outcome; values near 1/2 flag a field outside the pair.
+    (1-p, pi + phi).  The returned readout carries the vote as its label, and
+    its confidence is the probability of the majority outcome; values near
+    1/2 flag a field outside the pair.
     """
-    report = run_measurement(field, p, phi)
-    if report.prob_up >= report.prob_down:
-        label = "2GBS(p,phi)"
-        confidence = report.prob_up
-    else:
-        label = "2GBS(1-p,pi+phi)"
-        confidence = report.prob_down
-    return DistinguishResult(
-        label=label,
-        confidence=confidence,
-        prob_up=report.prob_up,
-        prob_down=report.prob_down,
-    )
+    return run_measurement(field, p, phi)
 
 
 def scan_t2(m2_min: int = M2_MIN, m2_max: int = M2_MAX) -> list:
@@ -608,9 +590,10 @@ def monte_carlo_jitter(config: GenerationConfig, model: ErrorModel) -> JitterRep
 
 
 def feasibility_check(tau_at: float, tau_cav: float, interaction_times,
-                      sequence_duration: float) -> FeasibilityReport:
-    """Coherence budget from lifetimes and durations in seconds: every transit must
-    beat min(tau_at, tau_cav) and the whole sequence must beat tau_at, all strictly.
+                      sequence_duration: float) -> tuple[bool, dict]:
+    """Coherence budget from lifetimes and durations in seconds: (passed, margins).  It
+    passes when every transit beats min(tau_at, tau_cav) and the whole sequence beats
+    tau_at, all strictly.
 
     Every input is finite and positive, and there is at least one transit.  The
     margins are lifetime/duration, and one that overflows a float raises.
@@ -630,5 +613,4 @@ def feasibility_check(tau_at: float, tau_cav: float, interaction_times,
     for name, margin in margins.items():
         if margin == math.inf:
             raise ValueError(f"feasibility margin {name} (lifetime/duration) overflows")
-    passed = all(t < tau_min for t in times) and sequence_duration < tau_at
-    return FeasibilityReport(passed=passed, margins=margins)
+    return all(t < tau_min for t in times) and sequence_duration < tau_at, margins

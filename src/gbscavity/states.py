@@ -163,10 +163,12 @@ class GBSParams:
         _check_finite("phi", self.phi)
 
 
-def _require_finite_phases(top: int, phi: float) -> None:
-    """e^(i n phi) is finite for every n <= top exactly when top * phi is."""
-    if not abs(top * float(phi)) <= _FLOAT_MAX:  # as complex(0, n) * phi rounds it
-        raise ValueError("FieldState amplitudes must be finite")
+def _require_finite_phases(top: int, phi: float, name: str = "phi") -> None:
+    """e^(i n phi) is finite for every n <= top exactly when top * phi is; the error
+    names that multiple and the phase, called name."""
+    phi = float(phi)
+    if not abs(top * phi) <= _FLOAT_MAX:  # as complex(0, n) * phi rounds it
+        raise ValueError(f"{top}*{name} must be finite, got {name}={phi!r}")
 
 
 def make_fock(n: int, n_max: int) -> FieldState:

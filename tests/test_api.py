@@ -3,8 +3,8 @@
 import gbscavity
 
 PUBLIC = [
-    "ATOL_ALGEBRA", "ATOL_DYNAMICS", "AtomState", "DEFAULT_N_MAX", "DistinguishResult",
-    "EigenbasisReport", "ErrorModel", "FeasibilityReport", "FieldState", "GBSParams", "GT_FIRST",
+    "ATOL_ALGEBRA", "ATOL_DYNAMICS", "AtomState", "DEFAULT_N_MAX",
+    "EigenbasisReport", "ErrorModel", "FieldState", "GBSParams", "GT_FIRST",
     "GT_PROBE", "GenerationConfig", "GenerationReport", "JitterReport", "JointState", "M2_MAX",
     "M2_MIN", "MeasurementReport", "TimingResult", "TruncationLeakError", "__version__",
     "delta_exp", "distinguish_orthogonal", "excitation_operator", "feasibility_check", "fidelity",

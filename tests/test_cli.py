@@ -234,11 +234,20 @@ def test_optimize_timing_defaults(tmp_path, capsys):
     assert abs(float(first[1]) - math.pi / 4.0) < 1e-15
 
 
-def test_optimize_timing_window_errors():
+def test_optimize_timing_window_errors(capsys):
     assert main(["optimize-timing", "--gt-min", "200", "--gt-max", "300"]) == 2
     assert main(["optimize-timing", "--gt-min", "5", "--gt-max", "2"]) == 2
     # g*T2 = 0.785, 7.07, ...: no admissible time lies inside [3, 4]
     assert main(["optimize-timing", "--gt-min", "3", "--gt-max", "4"]) == 2
+    capsys.readouterr()
+    # every comparison with NaN is false, so a NaN bound holds no time
+    for bound in ("--gt-min", "--gt-max"):
+        for fmt in ("text", "json", "csv"):
+            assert main(["optimize-timing", bound, "nan", "--format", fmt]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: window [")
+            assert len(captured.err.splitlines()) == 1
 
 
 def test_generate_rejects_overflowing_rabi_angle(tmp_path, capsys):
@@ -262,7 +271,21 @@ def test_generate_rejects_a_target_phase_that_overflows(tmp_path, capsys):
     assert main(["generate", "--p", "0.5", "--phi1=1e308", "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: FieldState amplitudes must be finite\n"
+    assert captured.err == ("error: 2*(pi - phi_effective) must be finite, "
+                            "got (pi - phi_effective)=-1e+308\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["measure", "--gbs", "2,0.5,1e308"],
+                                  ["verify-basis", "--p", "0.5", "--phi=1e308"]],
+                         ids=["measure", "verify-basis"])
+def test_a_state_phase_that_overflows_is_named(tmp_path, capsys, argv):
+    # the same rule for the phase of the state a command builds or checks
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 2*phi must be finite, got phi=1e+308\n"
     assert not out.exists()
 
 
@@ -276,6 +299,19 @@ def test_optimize_timing_window_holds_only_times_inside(capsys):
     assert code == 0
     assert [row["m2"] for row in report["rows"]] == list(range(17))
     assert report["window"]["gt_max"] is None  # open, and strict JSON holds no Infinity
+
+    code, report = run_json(capsys, ["optimize-timing", "--gt-min=-inf"])
+    assert code == 0
+    assert [row["m2"] for row in report["rows"]] == list(range(17))
+    assert report["window"]["gt_min"] is None
+
+    # both bounds are inclusive: admissible times exactly on them are inside
+    code, report = run_json(capsys, ["optimize-timing", "--gt-min", repr(gt_second(3)),
+                                     "--gt-max", repr(gt_second(7))])
+    assert code == 0
+    assert [row["m2"] for row in report["rows"]] == [3, 4, 5, 6, 7]
+    assert (report["window"]["m2_min"], report["window"]["m2_max"]) == (3, 7)
+    assert report["winner"]["m2"] == 5
 
 
 # -------------------------------------------------------------- error-sweep

@@ -122,15 +122,19 @@ def test_state_builders_pass_the_checked_constructor(N, p, phi, spare):
     assert_unshared(*triple)
 
 
-@pytest.mark.parametrize("build", [
-    lambda: make_gbs(GBSParams(2, 0.5, 1e308), 2),
-    lambda: make_gbs(GBSParams(3, 0.5, -6e307), 4),
-    lambda: make_gamma(0.5, 1e308, 2),
-    lambda: spin1_triple(0.5, -1e308),
-    lambda: run_generation(GenerationConfig(p=0.5, phi1=1e308)),
-    lambda: predicted_psi2(0.5, -1e308, 0.0),
+@pytest.mark.parametrize("build, message", [
+    (lambda: make_gbs(GBSParams(2, 0.5, 1e308), 2), "2*phi must be finite, got phi=1e+308"),
+    (lambda: make_gbs(GBSParams(3, 0.5, -6e307), 4), "3*phi must be finite, got phi=-6e+307"),
+    (lambda: make_gamma(0.5, 1e308, 2), "2*phi must be finite, got phi=1e+308"),
+    (lambda: spin1_triple(0.5, -1e308), "2*phi must be finite, got phi=-1e+308"),
+    (lambda: run_generation(GenerationConfig(p=0.5, phi1=1e308)),
+     "2*(pi - phi_effective) must be finite, got (pi - phi_effective)=-1e+308"),
+    (lambda: predicted_psi2(0.5, -1e308, 0.0),
+     "2*(pi - phi_eff) must be finite, got (pi - phi_eff)=1e+308"),
 ], ids=["gbs", "gbs-N3", "gamma", "triple", "generation-target", "predicted"])
-def test_a_phase_that_overflows_is_a_value_error_not_a_numpy_warning(build):
-    # N * phi overflows although phi is finite: e^(i N phi) has no value
-    with pytest.raises(ValueError, match="FieldState amplitudes must be finite"):
+def test_a_phase_that_overflows_is_a_value_error_not_a_numpy_warning(build, message):
+    # N * phi overflows although phi is finite: e^(i N phi) has no value.  The error
+    # names the multiple and the phase, not the state it would have built
+    with pytest.raises(ValueError) as caught:
         build()
+    assert str(caught.value) == message

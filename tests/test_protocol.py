@@ -382,24 +382,24 @@ def test_error_model_validation():
 
 
 def test_feasibility_typical_lab_numbers():
-    report = feasibility_check(tau_at=1e-2, tau_cav=1e-1,
-                               interaction_times=(1e-4, 3e-4), sequence_duration=5e-4)
-    assert report.passed
-    assert abs(report.margins["interaction_0"] - 100.0) < 1e-9
-    assert abs(report.margins["interaction_1"] - 100.0 / 3.0) < 1e-9
-    assert abs(report.margins["sequence"] - 20.0) < 1e-9
+    passed, margins = feasibility_check(tau_at=1e-2, tau_cav=1e-1,
+                                        interaction_times=(1e-4, 3e-4), sequence_duration=5e-4)
+    assert passed is True
+    assert abs(margins["interaction_0"] - 100.0) < 1e-9
+    assert abs(margins["interaction_1"] - 100.0 / 3.0) < 1e-9
+    assert abs(margins["sequence"] - 20.0) < 1e-9
 
 
 def test_feasibility_fails_short_lifetime():
-    report = feasibility_check(tau_at=1e-5, tau_cav=1e-1,
-                               interaction_times=(1e-4,), sequence_duration=2e-4)
-    assert not report.passed
+    passed, _ = feasibility_check(tau_at=1e-5, tau_cav=1e-1,
+                                  interaction_times=(1e-4,), sequence_duration=2e-4)
+    assert passed is False
 
 
 def test_feasibility_boundary_is_strict():
-    report = feasibility_check(tau_at=1e-3, tau_cav=1e-3,
-                               interaction_times=(1e-3,), sequence_duration=5e-4)
-    assert not report.passed
+    passed, _ = feasibility_check(tau_at=1e-3, tau_cav=1e-3,
+                                  interaction_times=(1e-3,), sequence_duration=5e-4)
+    assert passed is False
 
 
 def test_feasibility_validation():

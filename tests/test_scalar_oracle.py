@@ -21,7 +21,6 @@ from gbscavity import (
     GT_FIRST,
     GT_PROBE,
     AtomState,
-    DistinguishResult,
     EigenbasisReport,
     FieldState,
     GBSParams,
@@ -194,12 +193,11 @@ def test_j3_operator_matches_fresh_ladder_composition(p, phi):
     assert j3_operator(p, phi).tobytes() == want.tobytes()
 
 
-def oracle_distinguish(field: FieldState, p: float, phi: float) -> DistinguishResult:
+def oracle_distinguish(field: FieldState, p: float, phi: float) -> tuple[str, float]:
+    """(label, confidence) from the oracle's readout: a tie votes for |up>."""
     m = oracle_measurement(field, p, phi)
     up = m.prob_up >= m.prob_down
-    return DistinguishResult(label="2GBS(p,phi)" if up else "2GBS(1-p,pi+phi)",
-                             confidence=m.prob_up if up else m.prob_down,
-                             prob_up=m.prob_up, prob_down=m.prob_down)
+    return ("2GBS(p,phi)" if up else "2GBS(1-p,pi+phi)"), (m.prob_up if up else m.prob_down)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -214,10 +212,24 @@ def test_distinguish_orthogonal_matches_object_composition(case):
     assert got_error is want_error
     if want is None:
         return
-    assert got.label == want.label
-    assert got.confidence == want.confidence
+    assert (got.label, got.confidence) == want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(measurement_cases())
+@example(case=(make_fock(1, 2), 0.5, 0.0))  # equal probabilities: the tie goes to |up>
+def test_distinguish_orthogonal_returns_the_readout(case):
+    field, p, phi = case
+    got, got_error = _outcome(lambda: distinguish_orthogonal(field, p, phi))
+    want, want_error = _outcome(lambda: run_measurement(field, p, phi))
+    assert got_error is want_error
+    if want is None:
+        return
+    assert type(got) is MeasurementReport
     assert got.prob_up == want.prob_up
     assert got.prob_down == want.prob_down
+    _same_field(got.post_field_up, want.post_field_up)
+    _same_field(got.post_field_down, want.post_field_down)
 
 
 def _checked_binomial(p: float, phi: float) -> FieldState:
