@@ -32,11 +32,11 @@ from .protocol import (
     GT_FIRST,
     ErrorModel,
     GenerationConfig,
+    _best_timing,
     delta_exp,
     feasibility_check,
     gt_second,
     monte_carlo_jitter,
-    optimize_t2,
     run_generation,
     run_measurement,
     scan_t2,
@@ -224,8 +224,7 @@ def cmd_optimize_timing(args) -> _Result:
             f"window [{args.gt_min}, {args.gt_max}] holds no admissible "
             f"g*T2 = pi/4 + 2 pi m2 with m2 in [{M2_MIN}, {M2_MAX}]"
         )
-    lo, hi = rows[0].m2, rows[-1].m2
-    winner = optimize_t2(lo, hi)
+    lo, hi, winner = rows[0].m2, rows[-1].m2, _best_timing(rows)
 
     digest_obj = {"gt_min": args.gt_min, "gt_max": args.gt_max, "m2_min": lo, "m2_max": hi}
     row_dicts = [

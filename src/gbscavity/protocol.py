@@ -182,8 +182,8 @@ class JitterReport:
         jitter penalty is also quantified on the delivered state, weighting
         each sample by its post-selection success.
         """
-        kept = self.samples[self.samples.detected]
-        return float(np.mean(1.0 - kept.p2 * kept.fidelity)) if kept.size else float("nan")
+        s, d = self.samples, self.samples.detected  # columns, not a copy of the records
+        return float(np.mean(1.0 - s.p2[d] * s.fidelity[d])) if d.any() else float("nan")
 
 
 def _post_field(block: np.ndarray, prob: float) -> FieldState:
@@ -240,43 +240,45 @@ def run_generation(config: GenerationConfig, *, gt1: float | None = None,
     )
 
 
-def generation_batch(config: GenerationConfig, gt1, gt2):
-    """run_generation over g*t overrides of any broadcastable shapes; returns
-    (p2, fidelity) arrays of the broadcast shape.
-
-    The same transition rules and checks on the {|0>, |1>, |2>} block, which
-    holds every amplitude the pipeline reaches.  At n_max < 2 no two-photon
-    target fits, so every point raises and run_generation picks the error: a
-    truncation check computed twice can land on both sides of its threshold
-    by rounding.  One failing point fails the batch.
+def _down_terms(config: GenerationConfig):
+    """The unnormalized |down> block D that atom 2 leaves, on real columns of theta = g*T:
+    D_0 = d0, D_1 = a sin(theta1) cos(theta2) + b sin(theta2) and
+    D_2 = c sin(theta1) sin(sqrt(2) theta2).  Returns (d0, a, b, c) and the conjugated
+    target amplitudes t on |0>, |1>, |2>: p2 = |D|^2 and p2 * fidelity = |<t|D>|^2.
     """
-    n_max, root_p = config.n_max, math.sqrt(config.p)
+    root_p, root_q = math.sqrt(config.p), math.sqrt(1.0 - config.p)
+    down1, down2 = (np.exp(1j * phi) * root_q for phi in (config.phi1, config.phi_effective))
+    free = np.exp(-1j * (config.omega * config.dt_gap))  # |1> over the gap
+    target = make_gbs(GBSParams(2, config.p, math.pi - config.phi_effective), config.n_max)
+    return ((down2 * down1, -root_p * (down2 * free), -root_p * down1, config.p * free),
+            target.amps[:3].conj())
+
+
+def generation_batch(config: GenerationConfig, gt1, gt2):
+    """run_generation over g*t overrides of any broadcastable shapes, in real arithmetic on
+    the columns of _down_terms; returns (p2, fidelity) arrays of the broadcast shape.  Where
+    n_max < 2 or p2 falls below the normal doubles (p = 1, a transit near 0), run_generation
+    runs the points, so that its checks decide.  One failing point fails the batch.
+    """
     theta1, theta2 = np.asarray(gt1, dtype=float), np.asarray(gt2, dtype=float)
-    _require_finite_rabi_angles(n_max, theta1, theta2)
-    if n_max < 2:
-        for a, b in np.broadcast(theta1, theta2):
-            run_generation(config, gt1=a, gt2=b)
-    down1 = np.exp(1j * config.phi1) * math.sqrt(1.0 - config.p)
-    down2 = np.exp(1j * config.phi_effective) * math.sqrt(1.0 - config.p)
-    f1 = -np.sin(theta1) * root_p  # atom 1 leaves (down1, f1) in the field
-    p_first = abs(down1) ** 2 + f1**2
-    if np.any(p_first <= 0.0):
+    _require_finite_rabi_angles(config.n_max, theta1, theta2)
+    if config.n_max < 2:
+        for u, v in np.broadcast(theta1, theta2):
+            run_generation(config, gt1=u, gt2=v)
+    (d0, a, b, c), (t0, t1, t2) = _down_terms(config)
+    sin1 = np.sin(theta1)
+    if np.any((1.0 - config.p) + config.p * sin1**2 <= 0.0):  # atom 1's |down> probability
         raise ValueError("atom 1 never exits in |down>; cannot condition")
-    f0 = down1 / np.sqrt(p_first)
-    f1 = f1 / np.sqrt(p_first) * np.exp(-1j * (config.omega * config.dt_gap))
-    d = np.array(np.broadcast_arrays(  # the |down> block atom 2 leaves behind
-        down2 * f0,
-        np.cos(theta2) * (down2 * f1) - np.sin(theta2) * (root_p * f0),
-        -np.sin(theta2 * math.sqrt(2.0)) * (root_p * f1),
-    ))
-    p_second = np.sum(np.abs(d) ** 2, axis=0)
-    target = make_gbs(GBSParams(2, config.p, math.pi - config.phi_effective), n_max).amps
-    if np.any(p_second <= 0.0):
-        raise ValueError("atom 2 never exits in |down>; cannot condition")
-    p2 = p_first * p_second
-    overlap = (target[:3].conj() @ d.reshape(3, -1)).reshape(d.shape[1:])  # over the 3 levels
-    fid = np.minimum(1.0, np.abs(overlap / np.sqrt(p_second)) ** 2)
-    return p2, fid
+    x, y, z = sin1 * np.cos(theta2), np.sin(theta2), sin1 * np.sin(theta2 * math.sqrt(2.0))
+    re1, im1 = a.real * x + b.real * y, a.imag * x + b.imag * y  # D_1, summed before squaring
+    p2 = abs(d0) ** 2 + re1**2 + im1**2 + abs(c) ** 2 * z**2
+    if np.any(p2 < np.finfo(float).tiny):
+        reports = [run_generation(config, gt1=u, gt2=v) for u, v in np.broadcast(theta1, theta2)]
+        return tuple(np.reshape([getattr(r, k) for r in reports], p2.shape)[()]
+                     for k in ("p2", "fidelity_to_target"))
+    re = (t0 * d0).real + (t1 * a).real * x + (t1 * b).real * y + (t2 * c).real * z  # <t|D>
+    im = (t0 * d0).imag + (t1 * a).imag * x + (t1 * b).imag * y + (t2 * c).imag * z
+    return p2, np.minimum(1.0, (re**2 + im**2) / p2)
 
 
 def predicted_psi2(p: float, phi_eff: float, delta: float, n_max: int = 2) -> FieldState:
@@ -354,9 +356,13 @@ def scan_t2(m2_min: int = M2_MIN, m2_max: int = M2_MAX) -> list:
     return rows
 
 
+def _best_timing(rows) -> TimingResult:  # smallest delta, ties to smaller m2
+    return min(rows, key=lambda row: (row.delta, row.m2))
+
+
 def optimize_t2(m2_min: int = M2_MIN, m2_max: int = M2_MAX) -> TimingResult:
     """Best second interaction time: smallest delta, ties to smaller m2."""
-    return min(scan_t2(m2_min, m2_max), key=lambda row: (row.delta, row.m2))
+    return _best_timing(scan_t2(m2_min, m2_max))
 
 
 def delta_exp(gt2: float, rel_jitter: float) -> float:

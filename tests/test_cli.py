@@ -10,7 +10,7 @@ import pytest
 
 import gbscavity
 from gbscavity import (GT_FIRST, ErrorModel, GenerationConfig, gt_second, monte_carlo_jitter,
-                       run_generation)
+                       optimize_t2, run_generation)
 from gbscavity import cli
 from gbscavity.cli import main
 
@@ -312,6 +312,17 @@ def test_optimize_timing_window_holds_only_times_inside(capsys):
     assert [row["m2"] for row in report["rows"]] == [3, 4, 5, 6, 7]
     assert (report["window"]["m2_min"], report["window"]["m2_max"]) == (3, 7)
     assert report["winner"]["m2"] == 5
+
+
+def test_optimize_timing_winner_is_optimize_t2_of_its_rows(capsys):
+    # the command picks its winner from the rows it prints, by optimize_t2's rule
+    for lo, hi in [(0, 16), (0, 4), (6, 16), (9, 9), (2, 13)]:
+        code, report = run_json(capsys, ["optimize-timing", "--gt-min", repr(gt_second(lo)),
+                                         "--gt-max", repr(gt_second(hi))])
+        assert code == 0
+        best = optimize_t2(lo, hi)
+        assert report["winner"] == {"m2": best.m2, "gt2": best.gt2, "delta": best.delta}
+        assert min(report["rows"], key=lambda r: (r["delta"], r["m2"]))["m2"] == best.m2
 
 
 # -------------------------------------------------------------- error-sweep

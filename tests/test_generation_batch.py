@@ -3,7 +3,8 @@
 `generation_batch` must give the p2 and fidelity of `run_generation` at
 every point of its input arrays to 1e-14, raise the same exception class
 wherever the scalar pipeline raises, and reproduce the analytic
-`predicted_psi2` fidelity at the nominal transit times.
+`predicted_psi2` fidelity at the nominal transit times.  On whole arrays it
+must also match the earlier complex three-level kernel, kept in `oracle.py`.
 """
 
 import math
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracle import generation_batch_reference
 
 from gbscavity import (
     GT_FIRST,
@@ -100,6 +102,9 @@ def _outcome(call):
 @example(case=(GenerationConfig(p=1.0), np.array([0.0]), np.array([1.0])))
 @example(case=(GenerationConfig(p=1.0), np.array([GT_FIRST]), np.array([0.0])))
 @example(case=(GenerationConfig(p=0.5, n_max=4), np.array([GT_FIRST]), np.array([1e308])))
+# p = 1 and transits near 0: p2 under the normal doubles, where its squares lose digits
+@example(case=(GenerationConfig(p=1.0, omega=0.3, dt_gap=1.0), np.array([3e-80]), np.array([3e-80])))
+@example(case=(GenerationConfig(p=1.0), np.array([1e-100, GT_FIRST]), np.array([1e-100, 1.0])))
 def test_batch_matches_scalar_pipeline(case):
     config, gt1, gt2 = case
     expected = []
@@ -163,3 +168,47 @@ def test_batch_keeps_the_input_shape():
         for got, want in zip(grid, flat):
             assert got.shape == (4, 5)
             assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def jittered_arrays(draw):
+    """Up to 64 transit pairs jittered by up to 20% on one or both transits, with the
+    phases phi1 and omega*dt_gap up to +-1e3."""
+    config = GenerationConfig(
+        p=draw(probabilities),
+        phi1=draw(st.floats(-1e3, 1e3)),
+        omega=draw(st.floats(-1e3, 1e3)),  # dt_gap = 1
+        dt_gap=1.0,
+        n_max=draw(st.integers(2, 8)),
+        m2=draw(st.integers(0, 16)),
+    )
+    jitter = draw(st.floats(0.0, 0.2))
+    on1, on2 = draw(st.sampled_from([(True, True), (True, False), (False, True)]))
+    eps = np.array(draw(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                                 min_size=1, max_size=64)))
+    return (config, GT_FIRST * (1.0 + jitter * on1 * eps[:, 0]),
+            gt_second(config.m2) * (1.0 + jitter * on2 * eps[:, 1]))
+
+
+def _benchmark_case():
+    # the benchmark's README sweep at p = 1: both transits jittered by 1e-2
+    eps = np.random.default_rng(7).standard_normal((64, 2))
+    return (GenerationConfig(p=1.0), GT_FIRST * (1.0 + 1e-2 * eps[:, 0]),
+            gt_second(5) * (1.0 + 1e-2 * eps[:, 1]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(jittered_arrays())
+@example(case=_benchmark_case())
+@example(case=(GenerationConfig(p=0.3, phi1=0.4, omega=1e6, dt_gap=1.0),
+               GT_FIRST * np.array([0.9, 1.0, 1.1]), gt_second(5) * np.array([1.05, 1.0, 0.95])))
+def test_batch_matches_complex_reference(case):
+    config, gt1, gt2 = case
+    got, got_error = _outcome(lambda: _batch(config, gt1, gt2))
+    want, want_error = _outcome(lambda: generation_batch_reference(config, gt1, gt2))
+    assert type(got_error) is type(want_error)
+    assert str(got_error) == str(want_error)
+    if want is not None:
+        for new, old in zip(got, want):
+            assert new.shape == old.shape == gt1.shape
+            assert np.max(np.abs(new - old)) <= TOL

@@ -352,6 +352,23 @@ def test_detector_thinning():
     assert report.samples_used == np.count_nonzero(report.samples.detected)
 
 
+@pytest.mark.parametrize("efficiency", [1.0, 0.3, 0.0])
+def test_delivered_infidelity_matches_the_detected_records(efficiency):
+    # read from the p2 and fidelity columns, it is the record-copy formula bit for bit;
+    # a model that detects nothing gives NaN
+    cfg = GenerationConfig(p=0.5, phi1=0.4, omega=0.91, dt_gap=1.0)
+    model = ErrorModel(rel_timing_jitter=5e-2, detector_efficiency=efficiency,
+                       samples=2000, seed=11)
+    report = monte_carlo_jitter(cfg, model)
+    kept = report.samples[report.samples.detected]
+    if efficiency == 0.0:
+        assert kept.size == 0 and math.isnan(report.mean_delivered_infidelity)
+    else:
+        want = float(np.mean(1.0 - kept.p2 * kept.fidelity))
+        assert kept.size > 0
+        assert np.float64(report.mean_delivered_infidelity).tobytes() == np.float64(want).tobytes()
+
+
 def test_t1_jitter_flag_keeps_t2_stream():
     cfg = GenerationConfig(p=0.5)
     on = monte_carlo_jitter(cfg, ErrorModel(rel_timing_jitter=1e-2, samples=100, seed=5))
