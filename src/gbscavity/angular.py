@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import (FieldState, GBSParams, _check_finite, _check_weight, _norm, make_gamma,
-                     make_gbs)
+from .states import (FieldState, _check_finite, _check_weight, _gamma_amps, _gbs_amps, _norm,
+                     _require_finite_phases)
 
 __all__ = [
     "EigenbasisReport",
@@ -57,9 +57,16 @@ def j3_operator(p: float, phi: float) -> np.ndarray:
 
 def spin1_triple(p: float, phi: float) -> tuple[FieldState, FieldState, FieldState]:
     """(plus, zero, minus): eigenstates of j3_operator(p, phi) at eigenvalues +1, 0, -1."""
-    return (make_gbs(GBSParams(2, p, phi), 2),
-            make_gamma(p, phi, 2),
-            make_gbs(GBSParams(2, 1.0 - p, math.pi + phi), 2))
+    _check_weight("p", p)
+    _check_finite("phi", phi)
+    return tuple(FieldState._own(amps, 2) for amps in _triple_amps(p, phi))
+
+
+def _triple_amps(p: float, phi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The amplitudes of spin1_triple for a checked p and phi; checks 2 phi and 2 (pi + phi)."""
+    _require_finite_phases(2, phi)
+    _require_finite_phases(2, partner := math.pi + phi)
+    return _gbs_amps(2, p, phi, 2), _gamma_amps(p, phi, 2), _gbs_amps(2, 1.0 - p, partner, 2)
 
 
 @dataclass(frozen=True)
@@ -76,10 +83,8 @@ class EigenbasisReport:
 
 def verify_eigenbasis(p: float, phi: float) -> EigenbasisReport:
     """Check the analytic eigenpairs of j3_operator(p, phi)."""
-    op = j3_operator(p, phi)
-    residuals = tuple(
-        _norm(op @ state.amps - lam * state.amps)
-        for state, lam in zip(spin1_triple(p, phi), (1.0, 0.0, -1.0))
-    )
-    spectrum = np.linalg.eigvalsh(op)[::-1]
-    return EigenbasisReport(eigenvalues=tuple(float(x) for x in spectrum), residuals=residuals)
+    op = j3_operator(p, phi)  # checks p and phi; looked up here, so a patched one is used
+    residuals = tuple(_norm(op @ amps - lam * amps)
+                      for amps, lam in zip(_triple_amps(p, phi), (1.0, 0.0, -1.0)))
+    spectrum = tuple(np.linalg.eigvalsh(op)[::-1].tolist())
+    return EigenbasisReport(eigenvalues=spectrum, residuals=residuals)

@@ -14,7 +14,6 @@ import argparse
 import dataclasses
 import functools
 import hashlib
-import io
 import json
 import math
 import os
@@ -76,7 +75,7 @@ def _csv(columns, rows) -> str:
 
 def _deliver(args, result: _Result) -> int:
     """Render the format (CSV of the report's rows), write the --out files (str as UTF-8,
-    bytes raw) and a manifest with the digest's seed, print, and return the exit code."""
+    an ndarray as .npy) and a manifest with the digest's seed, print, and return the exit code."""
     command, columns = args.command, _COMMANDS[args.command][3]
     report = json.dumps(result.report, indent=2, allow_nan=False) + "\n"  # strict JSON
     csv_text = _csv(columns, result.report["rows"]) if columns else None
@@ -100,8 +99,11 @@ def _deliver(args, result: _Result) -> int:
         }
         files["manifest.json"] = json.dumps(manifest, indent=2) + "\n"
         for name, content in files.items():  # write, then rename: no half-written files
-            data = content if isinstance(content, bytes) else content.encode("utf-8")
-            (out / f"{name}.tmp").write_bytes(data)
+            with open(out / f"{name}.tmp", "wb") as fh:
+                if isinstance(content, np.ndarray):
+                    np.save(fh, content, allow_pickle=False)
+                else:
+                    fh.write(content.encode("utf-8"))
             os.replace(out / f"{name}.tmp", out / name)
 
     try:
@@ -285,9 +287,7 @@ def cmd_error_sweep(args) -> _Result:
             "samples_used": rpt.samples_used,
             "quantiles": rpt.quantiles,
         })
-        np.save(buf := io.BytesIO(), rpt.samples, allow_pickle=False)  # raw, exact doubles
-        extra_files[f"mc_samples_j{jit!r}.npy"] = buf.getvalue()
-        del rpt  # its records would otherwise stay alive through the next jitter
+        extra_files[f"mc_samples_j{jit!r}.npy"] = rpt.samples  # saved raw: exact doubles
 
     digest_obj = {"config": dataclasses.asdict(cfg), "jitters": jitters, **model_dict}
     json_obj = {"config": digest_obj["config"], "model": model_dict, "rows": rows}

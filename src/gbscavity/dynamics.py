@@ -10,6 +10,7 @@ omega*dt matter.  Operators are plain complex arrays on the joint basis
 returns a fresh one.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -47,6 +48,16 @@ def _check_truncation(up: np.ndarray):
         )
 
 
+def _require_finite_rabi_angles(n_max: int, **angles) -> None:
+    """Every transit's rule: |gt| * sqrt(max(n_max, 1) + 1) is finite, elementwise for arrays
+    (sqrt(2) floors it for the batch's theta2*sqrt(2)); the error names each angle."""
+    with np.errstate(over="ignore"):  # an angle that overflows to inf fails, without a warning
+        scale = math.sqrt(max(n_max, 1) + 1)
+        if not all(np.isfinite(np.abs(gt) * scale).all() for gt in angles.values()):
+            got = ", ".join(f"{name}={gt}" for name, gt in angles.items())
+            raise ValueError(f"Rabi angle g*t*sqrt(max(n_max, 1) + 1) must be finite, got {got}")
+
+
 def jc_closed_form(joint: JointState, gt: float) -> JointState:
     """Resonant evolution over the Rabi angle gt by the closed-form rules:
 
@@ -56,19 +67,30 @@ def jc_closed_form(joint: JointState, gt: float) -> JointState:
     |down, 0> is a fixed point.  Linear, unitary, and it conserves the total
     excitation number.
     """
+    _require_finite_rabi_angles(joint.n_max, gt=gt)
     return JointState(np.concatenate(_jc_blocks(joint.down_amps, joint.up_amps, gt)), joint.n_max)
 
 
+@functools.lru_cache(maxsize=64)  # (gt, d) keys: the protocol's 18 transits at a few n_max
+def _rotation(gt: float, d: int, sign: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only cos(gt sqrt(n)) for n = 0..d and sin(gt sqrt(n)) for n = 1..d-1, from one
+    angle vector.  sign is math.copysign(1.0, gt): it keeps -0.0 apart from 0.0 in the key,
+    as their sines differ in sign.  Only finite real angles reach it."""
+    theta = gt * _ROOTS[: d + 1]
+    cos, sin = np.cos(theta), np.sin(theta[1:d])
+    cos.flags.writeable = sin.flags.writeable = False
+    return cos, sin
+
+
 def _jc_blocks(down: np.ndarray, up: np.ndarray, gt: float) -> tuple[np.ndarray, np.ndarray]:
-    """jc_closed_form on the (down, up) amplitude blocks; returns new blocks."""
+    """jc_closed_form on the (down, up) amplitude blocks, by one rotation table; new blocks."""
     _check_truncation(up)
     d = down.size
-    theta_down = gt * _ROOTS[:d]
-    theta_up = gt * _ROOTS[1 : d + 1]
-    out_down = np.cos(theta_down) * down
-    out_up = np.cos(theta_up) * up
-    out_up[: d - 1] += np.sin(theta_down[1:]) * down[1:]
-    out_down[1:] -= np.sin(theta_up[: d - 1]) * up[: d - 1]
+    cos, sin = _rotation(gt, d, math.copysign(1.0, gt))
+    out_down = cos[:d] * down
+    out_up = cos[1:] * up
+    out_up[: d - 1] += sin * down[1:]
+    out_down[1:] -= sin * up[: d - 1]
     return out_down, out_up
 
 
@@ -90,6 +112,7 @@ def jc_expm_evolve(joint: JointState, gt: float) -> JointState:
 
     Independent numerical route used to cross-check jc_closed_form.
     """
+    _require_finite_rabi_angles(joint.n_max, gt=gt)
     _check_truncation(joint.up_amps)
     vals, vecs = np.linalg.eigh(jc_hamiltonian(joint.n_max))
     phases = np.exp(-1j * vals * gt)
@@ -129,15 +152,16 @@ def ramsey_decode_matrix(p: float, phi: float) -> np.ndarray:
         |up>   -> sqrt(p) |up> - e^(-i phi) sqrt(1-p) |down>
         |down> -> e^(i phi) sqrt(1-p) |up> + sqrt(p) |down>
     """
+    return np.array(_decode_entries(p, phi), dtype=np.complex128).reshape(2, 2)
+
+
+def _decode_entries(p: float, phi: float) -> tuple[complex, complex, complex, complex]:
+    """The entries (m00, m01, m10, m11) of ramsey_decode_matrix, checked, as Python complex."""
     _check_weight("p", p)
     _check_finite("phi", phi)
-    sp = math.sqrt(p)
-    sq = math.sqrt(1.0 - p)
-    return np.array(
-        [[sp, -np.exp(-1j * phi) * sq],
-         [np.exp(1j * phi) * sq, sp]],
-        dtype=np.complex128,
-    )
+    sp, sq = math.sqrt(p), math.sqrt(1.0 - p)
+    return (complex(sp), complex(-np.exp(-1j * phi) * sq),
+            complex(np.exp(1j * phi) * sq), complex(sp))
 
 
 def excitation_operator(n_max: int) -> np.ndarray:

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import DEFAULT_N_MAX, M2_MAX, M2_MIN, N_MAX_LIMIT
-from .dynamics import _free_phases, _jc_blocks, _ramsey_amps, ramsey_decode_matrix
+from .dynamics import (_decode_entries, _free_phases, _jc_blocks, _ramsey_amps,
+                       _require_finite_rabi_angles)
 from .states import (FieldState, GBSParams, JointState, _check_finite, _check_int,
                      _check_weight, _norm, _require_finite_phases, fidelity, make_gbs)
 
@@ -191,15 +192,6 @@ def _post_field(block: np.ndarray, prob: float) -> FieldState:
     return FieldState._own(block if prob <= 0.0 else block / math.sqrt(prob), block.size - 1)
 
 
-def _require_finite_rabi_angles(n_max: int, gt1, gt2) -> None:
-    """Transit check of both generation paths; sqrt(2) floors it for the batch's theta2*sqrt(2)."""
-    with np.errstate(over="ignore"):  # an angle that overflows to inf fails, without a warning
-        scale = math.sqrt(max(n_max, 1) + 1)
-        if not all(np.isfinite(np.abs(gt) * scale).all() for gt in (gt1, gt2)):
-            raise ValueError("Rabi angle g*t*sqrt(max(n_max, 1) + 1) must be finite, "
-                             f"got gt1={gt1}, gt2={gt2}")
-
-
 def run_generation(config: GenerationConfig, *, gt1: float | None = None,
                    gt2: float | None = None) -> GenerationReport:
     """Run the two-atom pipeline and condition on atom 2 exiting in |down>.
@@ -212,7 +204,7 @@ def run_generation(config: GenerationConfig, *, gt1: float | None = None,
     gt1 = GT_FIRST if gt1 is None else gt1
     gt2 = gt_second(config.m2) if gt2 is None else gt2
     n_max = config.n_max
-    _require_finite_rabi_angles(n_max, gt1, gt2)
+    _require_finite_rabi_angles(n_max, gt1=gt1, gt2=gt2)
 
     vacuum = np.eye(1, n_max + 1, dtype=np.complex128)[0]  # make_fock(0, n_max).amps
     atom_down, atom_up = _ramsey_amps(config.p, config.phi1)
@@ -261,7 +253,7 @@ def generation_batch(config: GenerationConfig, gt1, gt2):
     runs the points, so that its checks decide.  One failing point fails the batch.
     """
     theta1, theta2 = np.asarray(gt1, dtype=float), np.asarray(gt2, dtype=float)
-    _require_finite_rabi_angles(config.n_max, theta1, theta2)
+    _require_finite_rabi_angles(config.n_max, gt1=theta1, gt2=theta2)
     if config.n_max < 2:
         for u, v in np.broadcast(theta1, theta2):
             run_generation(config, gt1=u, gt2=v)
@@ -322,7 +314,7 @@ def run_measurement(field: FieldState, p: float, phi: float) -> MeasurementRepor
     # probe (1, 0) on (|down>, |up>) times the field, as atom (x) field forms it: same zero signs
     down, up = _jc_blocks((1 + 0j) * field.amps, 0j * field.amps, GT_PROBE)
 
-    (m00, m01), (m10, m11) = ramsey_decode_matrix(p, phi).tolist()
+    m00, m01, m10, m11 = _decode_entries(p, phi)
     down, up = m00 * down + m01 * up, m10 * down + m11 * up
     prob_down = _norm(down) ** 2
     prob_up = _norm(up) ** 2

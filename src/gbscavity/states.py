@@ -187,13 +187,17 @@ def make_gbs(params: GBSParams, n_max: int) -> FieldState:
     n <= N and zero above.  Normalized by the binomial theorem.
     """
     _check_int("n_max", n_max, params.N, N_MAX_LIMIT)  # n_max >= N holds the state
-    N, p, phi = params.N, params.p, params.phi
-    _require_finite_phases(N, phi)
+    _require_finite_phases(params.N, params.phi)
+    return FieldState._own(_gbs_amps(params.N, params.p, params.phi, n_max), n_max)
+
+
+def _gbs_amps(N: int, p: float, phi: float, n_max: int) -> np.ndarray:
+    """The amplitudes of make_gbs, from inputs it has checked."""
     amps = np.zeros(n_max + 1, dtype=np.complex128)
     for n in range(N + 1):
         weight = math.comb(N, n) * p**n * (1.0 - p) ** (N - n)
         amps[n] = math.sqrt(weight) * np.exp(1j * n * phi)
-    return FieldState._own(amps, n_max)
+    return amps
 
 
 def make_gamma(p: float, phi: float, n_max: int) -> FieldState:
@@ -206,12 +210,17 @@ def make_gamma(p: float, phi: float, n_max: int) -> FieldState:
     _check_finite("phi", phi)
     _check_int("n_max", n_max, 2, N_MAX_LIMIT)
     _require_finite_phases(2, phi)
+    return FieldState._own(_gamma_amps(p, phi, n_max), n_max)
+
+
+def _gamma_amps(p: float, phi: float, n_max: int) -> np.ndarray:
+    """The amplitudes of make_gamma, from inputs it has checked."""
     root = math.sqrt(2.0 * p * (1.0 - p))
     amps = np.zeros(n_max + 1, dtype=np.complex128)
     amps[0] = root
     amps[1] = (2.0 * p - 1.0) * np.exp(1j * phi)
     amps[2] = -root * np.exp(2j * phi)
-    return FieldState._own(amps, n_max)
+    return amps
 
 
 def inner(a, b) -> complex:

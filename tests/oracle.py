@@ -2,7 +2,8 @@
 
 The package's scalar path works on plain (down, up) amplitude arrays; the
 tests rebuild it from these state-object operations as an independent oracle.
-The batch kernel's earlier, complex form is kept here as a second reference.
+The batch kernel's earlier, complex form is kept here as a second reference, and so is
+the closed-form rotation's earlier form, which takes both angle vectors' sines and cosines.
 """
 
 import math
@@ -11,6 +12,7 @@ import numpy as np
 
 from gbscavity import (AtomState, FieldState, GBSParams, GenerationConfig, JointState,
                        make_gbs, run_generation)
+from gbscavity.dynamics import _ROOTS, _check_truncation
 from gbscavity.protocol import _require_finite_rabi_angles
 
 
@@ -36,6 +38,20 @@ def project_atom(joint: JointState, outcome: str):
     return FieldState(block, joint.n_max), prob
 
 
+def jc_blocks_reference(down: np.ndarray, up: np.ndarray, gt: float):
+    """dynamics._jc_blocks as it was before its rotation table: four trig calls on the
+    angle vectors of the |down, n> and |up, n> rows; returns new (down, up) blocks."""
+    _check_truncation(up)
+    d = down.size
+    theta_down = gt * _ROOTS[:d]
+    theta_up = gt * _ROOTS[1 : d + 1]
+    out_down = np.cos(theta_down) * down
+    out_up = np.cos(theta_up) * up
+    out_up[: d - 1] += np.sin(theta_down[1:]) * down[1:]
+    out_down[1:] -= np.sin(theta_up[: d - 1]) * up[: d - 1]
+    return out_down, out_up
+
+
 def generation_batch_reference(config: GenerationConfig, gt1, gt2):
     """The complex three-level batch kernel that generation_batch replaced, kept as a
     reference for it: the |down> block atom 2 leaves is built as a complex (3, ...) array
@@ -44,7 +60,7 @@ def generation_batch_reference(config: GenerationConfig, gt1, gt2):
     """
     n_max, root_p = config.n_max, math.sqrt(config.p)
     theta1, theta2 = np.asarray(gt1, dtype=float), np.asarray(gt2, dtype=float)
-    _require_finite_rabi_angles(n_max, theta1, theta2)
+    _require_finite_rabi_angles(n_max, gt1=theta1, gt2=theta2)
     if n_max < 2:
         for a, b in np.broadcast(theta1, theta2):
             run_generation(config, gt1=a, gt2=b)

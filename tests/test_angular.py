@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbscavity import (
+    GBSParams,
     hp_operators,
     inner,
     j3_operator,
+    make_gamma,
+    make_gbs,
     spin1_triple,
     verify_eigenbasis,
 )
@@ -94,6 +99,28 @@ def test_numeric_eigenvectors_match_analytic_triple():
             (k,) = np.nonzero(np.abs(vals - target) < 1e-6)[0]
             overlap = abs(np.vdot(vecs[:, k], state.amps)) ** 2
             assert abs(overlap - 1.0) < 1e-10
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.floats(0.0, 1.0), st.floats(-1e307, 1e307))
+def test_triple_amplitudes_are_those_of_make_gbs_and_make_gamma(p, phi):
+    plus, zero, minus = spin1_triple(p, phi)
+    assert plus.amps.tobytes() == make_gbs(GBSParams(2, p, phi), 2).amps.tobytes()
+    assert zero.amps.tobytes() == make_gamma(p, phi, 2).amps.tobytes()
+    assert minus.amps.tobytes() == make_gbs(GBSParams(2, 1.0 - p, math.pi + phi), 2).amps.tobytes()
+
+
+@pytest.mark.parametrize("p, phi, message", [
+    (1.5, 0.0, "p must be in [0, 1], got 1.5"),
+    (2.0, math.nan, "p must be in [0, 1], got 2.0"),  # p is checked before phi
+    (0.5, math.nan, "phi must be finite, got nan"),
+    (0.5, 1e308, "2*phi must be finite, got phi=1e+308"),
+])
+def test_triple_and_eigenbasis_errors_name_the_first_bad_input(p, phi, message):
+    for call in (spin1_triple, verify_eigenbasis):
+        with pytest.raises(ValueError) as err:
+            call(p, phi)
+        assert str(err.value) == message
 
 
 def test_perturbed_operator_breaks_verification(nudged_j3):

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from oracle import jc_blocks_reference
 
 from gbscavity import (
     ATOL_ALGEBRA,
@@ -24,6 +26,8 @@ from gbscavity import (
     ramsey_decode_matrix,
     ramsey_prepare,
 )
+from gbscavity.dynamics import _jc_blocks, _rotation
+from gbscavity.protocol import GT_PROBE
 
 N_MAX = 4
 
@@ -177,6 +181,78 @@ def test_closed_form_matches_oracle_unitary_and_conserving(case):
     n_exc = excitation_operator(state.n_max)
     before = np.vdot(state.amps, n_exc @ state.amps).real
     assert abs(np.vdot(closed.amps, n_exc @ closed.amps).real - before) < ATOL_DYNAMICS
+
+
+@pytest.mark.parametrize("evolve", [jc_closed_form, jc_expm_evolve])
+@pytest.mark.parametrize("gt", [1e308, math.inf, math.nan])
+def test_evolvers_reject_a_non_finite_rabi_angle_by_name(evolve, gt):
+    # |gt| * sqrt(n_max + 1) overflows or is not a number: one ValueError, no numpy warning
+    message = f"Rabi angle g*t*sqrt(max(n_max, 1) + 1) must be finite, got gt={gt}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        evolve(basis_joint("up", 0), gt)
+
+
+# ----------------------------------------------------------- rotation table
+
+MAX_D = 12
+PARTS = st.lists(st.floats(-1.0, 1.0), min_size=4 * MAX_D, max_size=4 * MAX_D)
+ONES = [1.0] * (4 * MAX_D)
+
+
+def padded(*parts):
+    """One block of MAX_D real or imaginary parts, zero after the given ones."""
+    return [*parts] + [0.0] * (MAX_D - len(parts))
+
+
+# down = (0, -0-0j, 1+1j), up = (-0-0j, 0, 0): its blocks at gt = 0.0 and -0.0 differ in zero signs
+SIGNED_ZEROS = padded(0.0, -0.0, 1.0) + padded(0.0, -0.0, 1.0) + padded(-0.0) + padded(-0.0)
+
+
+def blocks(d, parts):
+    """(down, up) blocks of d amplitudes from the real and imaginary parts, signed zeros kept;
+    |up, d - 1> is left empty, so the truncation holds."""
+    re_down, im_down, re_up, im_up = (parts[k * MAX_D : k * MAX_D + d] for k in range(4))
+    down = np.array([complex(a, b) for a, b in zip(re_down, im_down)], dtype=np.complex128)
+    up = np.array([complex(a, b) for a, b in zip(re_up, im_up)], dtype=np.complex128)
+    up[-1] = 0.0
+    return down, up
+
+
+def same_bytes(got, want):
+    return [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, MAX_D), st.floats(-1e3, 1e3), PARTS)
+@example(3, 0.0, SIGNED_ZEROS)
+@example(3, -0.0, SIGNED_ZEROS)
+@example(N_MAX + 1, GT_PROBE, ONES)
+@example(MAX_D, 1e300, ONES)
+def test_rotation_table_gives_the_two_angle_formula_bit_for_bit(d, gt, parts):
+    down, up = blocks(d, parts)
+    want = jc_blocks_reference(down, up, gt)
+    for _ in range(2):  # the second call reads the table the first one left
+        assert same_bytes(_jc_blocks(down, up, gt), want)
+
+
+@pytest.mark.parametrize("first", [0.0, -0.0])
+def test_signed_zero_angles_keep_their_own_tables(first):
+    down, up = blocks(3, SIGNED_ZEROS)
+    assert not same_bytes(jc_blocks_reference(down, up, 0.0), jc_blocks_reference(down, up, -0.0))
+    _rotation.cache_clear()
+    for gt in (first, -first, first, -first):  # a miss, then a hit, for each zero
+        assert same_bytes(_jc_blocks(down, up, gt), jc_blocks_reference(down, up, gt))
+
+
+def test_rotation_tables_are_read_only():
+    _jc_blocks(np.ones(N_MAX + 1, dtype=complex), np.zeros(N_MAX + 1, dtype=complex), GT_PROBE)
+    cos, sin = _rotation(GT_PROBE, N_MAX + 1, 1.0)
+    assert cos.shape == (N_MAX + 2,) and sin.shape == (N_MAX,)
+    for table in (cos, sin):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+    assert _rotation.cache_info().maxsize == 64
 
 
 # -------------------------------------------------------------- free field
