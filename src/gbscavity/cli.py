@@ -191,10 +191,12 @@ def cmd_measure(args) -> _Result:
             raise ValueError("--decode-p and --decode-phi are required with --state-file")
         source = {"state_file": args.state_file}
     else:
-        parts = args.gbs.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"--gbs expects 'N,p,phi', got {args.gbs!r}")
-        params = GBSParams(int(parts[0]), float(parts[1]), float(parts[2]))
+        try:  # a part that does not parse names the flag; GBSParams checks the ranges
+            n, p, phi = args.gbs.split(",")
+            n, p, phi = int(n), float(p), float(phi)
+        except ValueError:
+            raise ValueError(f"--gbs expects 'N,p,phi', got {args.gbs!r}") from None
+        params = GBSParams(n, p, phi)
         n_max = DEFAULT_N_MAX if args.n_max is None else args.n_max
         field = make_gbs(params, n_max)
         source = {"gbs": dataclasses.asdict(params), "n_max": n_max}

@@ -21,7 +21,7 @@ from .constants import DEFAULT_N_MAX, M2_MAX, M2_MIN, N_MAX_LIMIT
 from .dynamics import (_decode_entries, _free_phases, _jc_blocks, _ramsey_amps,
                        _require_finite_rabi_angles)
 from .states import (FieldState, GBSParams, JointState, _check_finite, _check_int,
-                     _check_weight, _norm, _require_finite_phases, fidelity, make_gbs)
+                     _check_weight, _gbs_amps, _norm, _require_finite_phases, fidelity, make_gbs)
 
 __all__ = [
     "GT_FIRST",
@@ -238,33 +238,27 @@ def _down_terms(config: GenerationConfig):
     D_2 = c sin(theta1) sin(sqrt(2) theta2).  Returns (d0, a, b, c) and the conjugated
     target amplitudes t on |0>, |1>, |2>: p2 = |D|^2 and p2 * fidelity = |<t|D>|^2.
     """
-    root_p, root_q = math.sqrt(config.p), math.sqrt(1.0 - config.p)
-    down1, down2 = (np.exp(1j * phi) * root_q for phi in (config.phi1, config.phi_effective))
+    down1, up = _ramsey_amps(config.p, config.phi1)  # both atoms' |up> amplitude is sqrt(p)
+    down2, _ = _ramsey_amps(config.p, config.phi_effective)
     free = np.exp(-1j * (config.omega * config.dt_gap))  # |1> over the gap
-    target = make_gbs(GBSParams(2, config.p, math.pi - config.phi_effective), config.n_max)
-    return ((down2 * down1, -root_p * (down2 * free), -root_p * down1, config.p * free),
-            target.amps[:3].conj())
+    target = _gbs_amps(2, config.p, math.pi - config.phi_effective, 2)
+    return ((down2 * down1, -up * (down2 * free), -up * down1, config.p * free), target.conj())
 
 
 def generation_batch(config: GenerationConfig, gt1, gt2):
     """run_generation over g*t overrides of any broadcastable shapes, in real arithmetic on
     the columns of _down_terms; returns (p2, fidelity) arrays of the broadcast shape.  Where
-    n_max < 2 or p2 falls below the normal doubles (p = 1, a transit near 0), run_generation
-    runs the points, so that its checks decide.  One failing point fails the batch.
+    n_max < 2 or any p2 is below the normal doubles (as at every atom-1 failure), all points
+    go through run_generation in broadcast order: the first failing point's error is raised.
     """
     theta1, theta2 = np.asarray(gt1, dtype=float), np.asarray(gt2, dtype=float)
     _require_finite_rabi_angles(config.n_max, gt1=theta1, gt2=theta2)
-    if config.n_max < 2:
-        for u, v in np.broadcast(theta1, theta2):
-            run_generation(config, gt1=u, gt2=v)
     (d0, a, b, c), (t0, t1, t2) = _down_terms(config)
     sin1 = np.sin(theta1)
-    if np.any((1.0 - config.p) + config.p * sin1**2 <= 0.0):  # atom 1's |down> probability
-        raise ValueError("atom 1 never exits in |down>; cannot condition")
     x, y, z = sin1 * np.cos(theta2), np.sin(theta2), sin1 * np.sin(theta2 * math.sqrt(2.0))
     re1, im1 = a.real * x + b.real * y, a.imag * x + b.imag * y  # D_1, summed before squaring
     p2 = abs(d0) ** 2 + re1**2 + im1**2 + abs(c) ** 2 * z**2
-    if np.any(p2 < np.finfo(float).tiny):
+    if config.n_max < 2 or np.any(p2 < np.finfo(float).tiny):
         reports = [run_generation(config, gt1=u, gt2=v) for u, v in np.broadcast(theta1, theta2)]
         return tuple(np.reshape([getattr(r, k) for r in reports], p2.shape)[()]
                      for k in ("p2", "fidelity_to_target"))
@@ -287,11 +281,8 @@ def predicted_psi2(p: float, phi_eff: float, delta: float, n_max: int = 2) -> Fi
         raise ValueError(f"delta must be in [0, 2], got {delta!r}")
     _check_int("n_max", n_max, 2, N_MAX_LIMIT)
     _require_finite_phases(2, math.pi - phi_eff, "(pi - phi_eff)")
-    coeff = (1.0, math.sqrt(2.0), 1.0 - delta)
-    amps = np.zeros(n_max + 1, dtype=np.complex128)
-    for n in range(3):
-        mag = coeff[n] * math.sqrt(p**n * (1.0 - p) ** (2 - n))
-        amps[n] = mag * np.exp(1j * n * (math.pi - phi_eff))
+    amps = _gbs_amps(2, p, math.pi - phi_eff, n_max)
+    amps[2] *= 1.0 - delta
     norm = _norm(amps)
     if norm == 0.0:
         raise ValueError("predicted state vanishes for these parameters")

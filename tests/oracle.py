@@ -56,7 +56,8 @@ def generation_batch_reference(config: GenerationConfig, gt1, gt2):
     """The complex three-level batch kernel that generation_batch replaced, kept as a
     reference for it: the |down> block atom 2 leaves is built as a complex (3, ...) array
     from the normalized field atom 1 leaves, and the overlap with the target is a matmul.
-    Same checks and messages as generation_batch; returns (p2, fidelity) arrays.
+    Same checks and messages as generation_batch where at most one rule fails (it checks
+    atom 1 on the whole batch first); returns (p2, fidelity) arrays.
     """
     n_max, root_p = config.n_max, math.sqrt(config.p)
     theta1, theta2 = np.asarray(gt1, dtype=float), np.asarray(gt2, dtype=float)

@@ -147,7 +147,7 @@ def test_measure_consumes_generated_state(tmp_path, capsys):
         assert report["prob_up"] >= 0.999
 
 
-def test_measure_input_errors(tmp_path):
+def test_measure_input_errors(tmp_path, capsys):
     assert main(["measure"]) == 2
     assert main(["measure", "--gbs", "2,0.3,0.9",
                  "--state-file", "whatever.json"]) == 2
@@ -170,7 +170,12 @@ def test_measure_input_errors(tmp_path):
         state.write_text(f'{{"n_max": {n_max}, "basis": "field", "amps": {amps}}}')
         assert main(["measure", "--state-file", str(state),
                      "--decode-p", "0.5", "--decode-phi", "0"]) == 2
-    assert main(["measure", "--gbs", "2,0.3"]) == 2
+    capsys.readouterr()
+    for gbs in ("2,0.3", "2,0.3,0.9,1", "2.5,0.5,0", "2,abc,0"):  # one line naming the flag
+        assert main(["measure", "--gbs", gbs]) == 2
+        assert capsys.readouterr() == ("", f"error: --gbs expects 'N,p,phi', got {gbs!r}\n")
+    assert main(["measure", "--gbs", "2,1e400,0"]) == 2  # parsed, but out of range
+    assert capsys.readouterr() == ("", "error: p must be in [0, 1], got inf\n")
     # above the n_max ceiling, with as many amplitudes as that n_max asks for
     assert main(["measure", "--gbs", "2,0.3,0.9", "--n-max", "1001"]) == 2
     state.write_text(json.dumps({"n_max": 1001, "basis": "field",

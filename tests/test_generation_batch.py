@@ -2,9 +2,10 @@
 
 `generation_batch` must give the p2 and fidelity of `run_generation` at
 every point of its input arrays to 1e-14, raise the same exception class
-wherever the scalar pipeline raises, and reproduce the analytic
-`predicted_psi2` fidelity at the nominal transit times.  On whole arrays it
-must also match the earlier complex three-level kernel, kept in `oracle.py`.
+wherever the scalar pipeline raises (a whole batch raises the error of its
+first failing point), and reproduce the analytic `predicted_psi2` fidelity
+at the nominal transit times.  On whole arrays it must also match the
+earlier complex three-level kernel, kept in `oracle.py`.
 """
 
 import math
@@ -105,11 +106,14 @@ def _outcome(call):
 # p = 1 and transits near 0: p2 under the normal doubles, where its squares lose digits
 @example(case=(GenerationConfig(p=1.0, omega=0.3, dt_gap=1.0), np.array([3e-80]), np.array([3e-80])))
 @example(case=(GenerationConfig(p=1.0), np.array([1e-100, GT_FIRST]), np.array([1e-100, 1.0])))
+# points failing in different ways: atom 2 first (its p2 underflows), then atom 1
+@example(case=(GenerationConfig(p=1.0), np.array([GT_FIRST, 0.0]), np.array([1e-200, 5.0])))
 def test_batch_matches_scalar_pipeline(case):
     config, gt1, gt2 = case
-    expected = []
+    expected, errors = [], []
     for a, b in zip(gt1, gt2):
         report, scalar_error = _outcome(lambda: run_generation(config, gt1=a, gt2=b))
+        errors.append(scalar_error)
         batch, batch_error = _outcome(lambda: _batch(config, a, b))
         assert type(batch_error) is type(scalar_error), (config, a, b)
         if isinstance(scalar_error, ValueError):  # a shared check: the same message too
@@ -125,9 +129,21 @@ def test_batch_matches_scalar_pipeline(case):
         assert p2.shape == fid.shape == gt1.shape
         assert np.max(np.abs(p2 - [e[0] for e in expected])) <= TOL
         assert np.max(np.abs(fid - [e[1] for e in expected])) <= TOL
-    else:  # one raising point makes the whole batch raise
-        with pytest.raises((ValueError, RuntimeError)):
+    elif any("Rabi angle" in str(e) for e in errors):  # checked on the whole arrays first
+        with pytest.raises(ValueError, match="Rabi angle"):
             _batch(config, gt1, gt2)
+    else:  # the batch raises the error of its first failing point, in broadcast order
+        first = next(e for e in errors if e is not None)
+        _, batch_error = _outcome(lambda: _batch(config, gt1, gt2))
+        assert type(batch_error) is type(first) and str(batch_error) == str(first)
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 4])
+def test_empty_batch_returns_empty_arrays(n_max):
+    # no point, so no point fails: even a truncation too small for the target returns
+    p2, fid = generation_batch(GenerationConfig(p=0.5, n_max=n_max), np.array([]), np.array([]))
+    for got in (p2, fid):
+        assert got.shape == (0,) and got.dtype == np.float64
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

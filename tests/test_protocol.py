@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gbscavity import (
@@ -184,10 +184,28 @@ def test_config_validation():
 # ---------------------------------------------------------------- predicted
 
 
-def test_predicted_collapses_to_binomial_at_zero_delta():
-    predicted = predicted_psi2(0.5, 0.0, 0.0)
-    target = make_gbs(GBSParams(2, 0.5, math.pi), 2)
-    assert np.max(np.abs(predicted.amps - target.amps)) < 1e-12
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)), st.floats(-10.0, 10.0),
+       st.one_of(st.just(0.0), st.floats(0.0, 2.0)), st.integers(2, 8))
+@example(p=0.5, phi=0.0, delta=0.0, n_max=2)
+@example(p=1.0, phi=0.0, delta=1.0, n_max=2)
+def test_predicted_collapses_to_binomial_at_zero_delta(p, phi, delta, n_max):
+    # the documented formula, written out here: (1, sqrt(2), 1 - delta) times
+    # sqrt(p^n (1-p)^(2-n)) e^(i n (pi - phi)), normalized; at delta = 0 the binomial state
+    n = np.arange(3)
+    want = (np.array([1.0, math.sqrt(2.0), 1.0 - delta]) * np.sqrt(p**n * (1.0 - p) ** (2 - n))
+            * np.exp(1j * n * (math.pi - phi)))
+    norm = np.linalg.norm(want)
+    if norm == 0.0:  # p = 1 and delta = 1: only |2> is weighted, and 1 - delta kills it
+        with pytest.raises(ValueError, match="vanishes"):
+            predicted_psi2(p, phi, delta, n_max)
+        return
+    predicted = predicted_psi2(p, phi, delta, n_max)
+    assert predicted.n_max == n_max and not np.any(predicted.amps[3:])
+    assert np.max(np.abs(predicted.amps[:3] - want / norm)) <= 1e-15
+    if delta == 0.0:
+        target = make_gbs(GBSParams(2, p, math.pi - phi), n_max)
+        assert np.max(np.abs(predicted.amps - target.amps)) <= 1e-15
 
 
 def test_predicted_top_heavy_limit():
