@@ -29,11 +29,6 @@ __all__ = [
     "excitation_operator",
 ]
 
-# sqrt(n) for n = 0..N_MAX_LIMIT + 1: the coupling factors of every truncation
-_ROOTS = np.sqrt(np.arange(N_MAX_LIMIT + 2))
-_ROOTS.flags.writeable = False
-
-
 class TruncationLeakError(RuntimeError):
     """Amplitude would be pushed past the highest retained photon number."""
 
@@ -76,7 +71,7 @@ def _rotation(gt: float, d: int, sign: float) -> tuple[np.ndarray, np.ndarray]:
     """Read-only cos(gt sqrt(n)) for n = 0..d and sin(gt sqrt(n)) for n = 1..d-1, from one
     angle vector.  sign is math.copysign(1.0, gt): it keeps -0.0 apart from 0.0 in the key,
     as their sines differ in sign.  Only finite real angles reach it."""
-    theta = gt * _ROOTS[: d + 1]
+    theta = gt * np.sqrt(np.arange(d + 1))
     cos, sin = np.cos(theta), np.sin(theta[1:d])
     cos.flags.writeable = sin.flags.writeable = False
     return cos, sin

@@ -21,7 +21,7 @@ from .constants import DEFAULT_N_MAX, M2_MAX, M2_MIN, N_MAX_LIMIT
 from .dynamics import (_decode_entries, _free_phases, _jc_blocks, _ramsey_amps,
                        _require_finite_rabi_angles)
 from .states import (FieldState, GBSParams, JointState, _check_finite, _check_int,
-                     _check_weight, _gbs_amps, _norm, _require_finite_phases, fidelity, make_gbs)
+                     _check_weight, _gbs_amps, _norm, _require_finite_phases)
 
 __all__ = [
     "GT_FIRST",
@@ -219,14 +219,16 @@ def run_generation(config: GenerationConfig, *, gt1: float | None = None,
     down, up = _jc_blocks(atom_down * field, atom_up * field, gt2)
 
     p_second = _norm(down) ** 2
-    if p_second <= 0.0:
-        raise ValueError("atom 2 never exits in |down>; cannot condition")
     post = _post_field(down, p_second)
+    if not post.is_normalized():  # p_second is 0, or subnormal with too few digits left
+        raise ValueError(f"atom 2 never exits in |down>; cannot condition on p_second={p_second!r}")
+    _check_int("n_max", n_max, 2, N_MAX_LIMIT)
     target = GBSParams(2, config.p, math.pi - config.phi_effective)
+    overlap = complex(np.vdot(post.amps, _gbs_amps(2, config.p, target.phi, n_max)))
     return GenerationReport(
         post_selected_field=post,
         p2=p_first * p_second,
-        fidelity_to_target=fidelity(post, make_gbs(target, n_max)),
+        fidelity_to_target=min(1.0, abs(overlap) ** 2),
         target=target,
         joint_before_projection=JointState._own(np.concatenate([down, up]), n_max),
     )
@@ -339,8 +341,8 @@ def scan_t2(m2_min: int = M2_MIN, m2_max: int = M2_MAX) -> list:
     return rows
 
 
-def _best_timing(rows) -> TimingResult:  # smallest delta, ties to smaller m2
-    return min(rows, key=lambda row: (row.delta, row.m2))
+def _best_timing(rows) -> TimingResult:  # rows ascend in m2, and min keeps the first tie
+    return min(rows, key=lambda row: row.delta)
 
 
 def optimize_t2(m2_min: int = M2_MIN, m2_max: int = M2_MAX) -> TimingResult:

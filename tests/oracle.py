@@ -12,7 +12,7 @@ import numpy as np
 
 from gbscavity import (AtomState, FieldState, GBSParams, GenerationConfig, JointState,
                        make_gbs, run_generation)
-from gbscavity.dynamics import _ROOTS, _check_truncation
+from gbscavity.dynamics import _check_truncation
 from gbscavity.protocol import _require_finite_rabi_angles
 
 
@@ -43,8 +43,9 @@ def jc_blocks_reference(down: np.ndarray, up: np.ndarray, gt: float):
     angle vectors of the |down, n> and |up, n> rows; returns new (down, up) blocks."""
     _check_truncation(up)
     d = down.size
-    theta_down = gt * _ROOTS[:d]
-    theta_up = gt * _ROOTS[1 : d + 1]
+    roots = np.sqrt(np.arange(d + 1))  # its own sqrt(n), shared with no table of the package
+    theta_down = gt * roots[:d]
+    theta_up = gt * roots[1:]
     out_down = np.cos(theta_down) * down
     out_up = np.cos(theta_up) * up
     out_up[: d - 1] += np.sin(theta_down[1:]) * down[1:]

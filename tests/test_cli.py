@@ -269,6 +269,18 @@ def test_generate_rejects_overflowing_rabi_angle(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_generate_rejects_a_post_selection_too_small_to_normalize(tmp_path, capsys):
+    # p_second = 2e-316 is subnormal: one usage error that names it, and no files
+    out = tmp_path / "run"
+    assert main(["generate", "--p", "1", "--gt2", "1e-158", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: atom 2 never exits in |down>")
+    assert "p_second=2e-316" in captured.err
+    assert not out.exists()
+
+
 def test_generate_rejects_a_target_phase_that_overflows(tmp_path, capsys):
     # phi1 = 1e308 is finite, but the target's e^(2 i phi) is not: one usage error,
     # raised before numpy computes it, so no numpy warning either
@@ -389,6 +401,20 @@ def test_error_sweep_rejects_repeated_jitter(tmp_path, capsys):
                      "--out", str(out)]) == 2
         assert capsys.readouterr() == ("", f"error: --jitter repeats a value: {jitters}\n")
         assert not out.exists()
+
+
+def test_error_sweep_quantiles_are_those_of_the_detected_fidelities(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["error-sweep", "--p", "0.5", "--jitter", "2e-2", "--samples", "200",
+                 "--seed", "3", "--detector-efficiency", "0.6", "--out", str(out)]) == 0
+    capsys.readouterr()
+    (row,) = json.loads((out / "error_sweep_report.json").read_text())["rows"]
+    samples = np.load(out / "mc_samples_j0.02.npy", allow_pickle=False)
+    kept = samples["fidelity"][samples["detected"]]
+    assert 0 < kept.size < samples.size
+    assert list(row["quantiles"]) == ["0.05", "0.25", "0.5", "0.75", "0.95"]
+    for key, value in row["quantiles"].items():
+        assert value == np.quantile(kept, float(key))
 
 
 @pytest.mark.parametrize("efficiency", ["0", "1e-9"])

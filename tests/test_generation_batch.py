@@ -171,6 +171,12 @@ def test_batch_rejects_overflowing_rabi_angle():
     assert np.all(np.isfinite(p2)) and np.all(np.isfinite(fid))
 
 
+def test_batch_hands_a_post_selection_too_small_to_normalize_to_the_scalar_rule():
+    # p2 = 2e-316 is subnormal, so the point goes through run_generation, which refuses it
+    with pytest.raises(ValueError, match=r"^atom 2 never exits in \|down>.*2e-316"):
+        generation_batch(GenerationConfig(p=1.0), GT_FIRST, np.array([1e-158]))
+
+
 def test_batch_keeps_the_input_shape():
     # a (4, 5) grid, given whole or as broadcasting row and column, equals the
     # raveled call bit for bit and comes back in the grid's shape

@@ -162,6 +162,17 @@ def test_generation_truncation_policies():
         run_generation(GenerationConfig(p=1.0), gt2=0.0)
 
 
+def test_atom_2_conditioning_needs_a_field_that_normalizes():
+    # at p = 1 atom 2 leaves |down, 2> with amplitude -sin(sqrt(2) gt2): gt2 = 1e-158 gives
+    # the subnormal p_second = 2e-316, too few digits to normalize; 1e-155 keeps enough
+    with pytest.raises(ValueError, match=r"^atom 2 never exits in \|down>.*2e-316"):
+        run_generation(GenerationConfig(p=1.0), gt2=1e-158)
+    report = run_generation(GenerationConfig(p=1.0), gt2=1e-155)
+    assert report.p2 < np.finfo(float).tiny
+    assert report.post_selected_field.is_normalized()
+    assert report.fidelity_to_target == 1.0
+
+
 def test_generation_rejects_overflowing_rabi_angle():
     # finite transits whose angle g*t*sqrt(n) overflows, and non-finite ones
     cfg = GenerationConfig(p=0.5)

@@ -133,6 +133,7 @@ def generation_cases(draw):
 @example(case=(GenerationConfig(p=0.5, n_max=1), None, None))  # |up, 1> at the second
 @example(case=(GenerationConfig(p=1.0), 0.0, None))  # atom 1 never exits in |down>
 @example(case=(GenerationConfig(p=1.0), None, 0.0))  # zero post-selection: fidelity refuses
+@example(case=(GenerationConfig(p=1.0), None, 1e-158))  # p_second = 2e-316 cannot normalize
 @example(case=(GenerationConfig(p=0.0, n_max=0), None, None))
 def test_run_generation_matches_object_composition(case):
     config, gt1, gt2 = case

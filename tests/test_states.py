@@ -135,6 +135,12 @@ def test_fidelity_basics():
     assert abs(fidelity(state, other) - fidelity(other, state)) < 1e-15
 
 
+def test_is_normalized_at_the_tolerance_edge():
+    # the squared norm may miss 1 by ATOL_ALGEBRA = 1e-12, not by ten times that
+    assert FieldState([math.sqrt(1.0 + 0.5e-12)], 0).is_normalized()
+    assert not FieldState([math.sqrt(1.0 + 2e-12)], 0).is_normalized()
+
+
 def test_fidelity_rejects_unnormalized():
     bad = FieldState([0.5, 0.0, 0.0], 2)
     with pytest.raises(ValueError):
