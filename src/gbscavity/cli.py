@@ -125,6 +125,14 @@ def _read_json(path):
             raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
+def _floats(flag, text):
+    """The numbers of a comma-separated flag value; a part that does not parse names the flag."""
+    try:
+        return [float(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise ValueError(f"{flag} expects comma-separated numbers, got {text!r}") from None
+
+
 def _resolve_config(args):
     """Generation config and error_model settings: config file, then flags."""
     data = _read_json(args.config) if args.config else {}
@@ -251,7 +259,7 @@ def cmd_error_sweep(args) -> _Result:
 
     jitters = [model_cfg.pop("rel_timing_jitter", 1e-2)]
     if args.jitter is not None:
-        jitters = [float(s) for s in args.jitter.split(",") if s.strip()]
+        jitters = _floats("--jitter", args.jitter)
     if not jitters:
         raise ValueError("--jitter lists no values")
     if args.no_t1_jitter:
@@ -333,7 +341,7 @@ def cmd_feasibility(args) -> _Result:
     if args.dt_gap is not None and (args.g is None or args.sequence_duration is not None):
         raise ValueError("--dt-gap needs --g and no --sequence-duration: it derives the sequence")
     if args.interaction_times is not None:
-        times = tuple(float(s) for s in args.interaction_times.split(",") if s.strip())
+        times = tuple(_floats("--interaction-times", args.interaction_times))
         if args.sequence_duration is None:
             raise ValueError("--sequence-duration is required with --interaction-times")
         sequence = args.sequence_duration

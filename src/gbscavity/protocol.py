@@ -247,6 +247,16 @@ def _down_terms(config: GenerationConfig):
     return ((down2 * down1, -up * (down2 * free), -up * down1, config.p * free), target.conj())
 
 
+def _accumulate(out, tmp, *terms):
+    """Sum terms left to right into out and return it: a (coefficient, column) term adds its
+    product, formed in tmp (the first is formed in out), and a number adds itself."""
+    (k, col), *rest = terms
+    np.multiply(col, k, out=out)
+    for term in rest:
+        out += np.multiply(term[1], term[0], out=tmp) if isinstance(term, tuple) else term
+    return out
+
+
 def generation_batch(config: GenerationConfig, gt1, gt2):
     """run_generation over g*t overrides of any broadcastable shapes, in real arithmetic on
     the columns of _down_terms; returns (p2, fidelity) arrays of the broadcast shape.  Where
@@ -256,17 +266,31 @@ def generation_batch(config: GenerationConfig, gt1, gt2):
     theta1, theta2 = np.asarray(gt1, dtype=float), np.asarray(gt2, dtype=float)
     _require_finite_rabi_angles(config.n_max, gt1=theta1, gt2=theta2)
     (d0, a, b, c), (t0, t1, t2) = _down_terms(config)
-    sin1 = np.sin(theta1)
-    x, y, z = sin1 * np.cos(theta2), np.sin(theta2), sin1 * np.sin(theta2 * math.sqrt(2.0))
-    re1, im1 = a.real * x + b.real * y, a.imag * x + b.imag * y  # D_1, summed before squaring
-    p2 = abs(d0) ** 2 + re1**2 + im1**2 + abs(c) ** 2 * z**2
+    # trig once per input value, as on the inputs alone; every later step in place, in
+    # buffers of the broadcast shape
+    shape = np.broadcast_shapes(theta1.shape, theta2.shape)
+    sin1, y, w = np.sin(theta1), np.sin(theta2), np.cos(theta2, out=np.empty(theta2.shape))
+    x = np.multiply(sin1, w, out=np.empty(shape))
+    np.sin(np.multiply(theta2, math.sqrt(2.0), out=w), out=w)
+    z = np.multiply(sin1, w, out=np.empty(shape))
+    del sin1, w
+    p2, acc, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
+    np.square(_accumulate(p2, tmp, (a.real, x), (b.real, y)), out=p2)  # D_1 summed, then squared
+    p2 += abs(d0) ** 2
+    p2 += np.square(_accumulate(acc, tmp, (a.imag, x), (b.imag, y)), out=acc)
+    p2 += np.multiply(np.square(z, out=acc), abs(c) ** 2, out=acc)
     if config.n_max < 2 or np.any(p2 < np.finfo(float).tiny):
         reports = [run_generation(config, gt1=u, gt2=v) for u, v in np.broadcast(theta1, theta2)]
         return tuple(np.reshape([getattr(r, k) for r in reports], p2.shape)[()]
                      for k in ("p2", "fidelity_to_target"))
-    re = (t0 * d0).real + (t1 * a).real * x + (t1 * b).real * y + (t2 * c).real * z  # <t|D>
-    im = (t0 * d0).imag + (t1 * a).imag * x + (t1 * b).imag * y + (t2 * c).imag * z
-    return p2, np.minimum(1.0, (re**2 + im**2) / p2)
+    re = _accumulate(acc, tmp, ((t1 * a).real, x), (t0 * d0).real, ((t1 * b).real, y),
+                     ((t2 * c).real, z))  # <t|D>
+    im = _accumulate(x, tmp, ((t1 * a).imag, x), (t0 * d0).imag, ((t1 * b).imag, y),
+                     ((t2 * c).imag, z))  # x is read last by its own first product
+    np.square(re, out=re)
+    re += np.square(im, out=im)
+    re /= p2
+    return p2[()], np.minimum(re, 1.0, out=re)[()]
 
 
 def predicted_psi2(p: float, phi_eff: float, delta: float, n_max: int = 2) -> FieldState:
@@ -526,6 +550,18 @@ def _keyed_draws(seed: int, n: int):
     return z, rolls
 
 
+def _quantiles(x, levels):
+    """np.quantile(x, levels) of finite x with no -0.0 (no fidelity is), bit for bit, from one
+    sort: numpy's 'linear' rule, virtual index (n - 1) q, and b - (b - a) (1 - t) where
+    t >= 0.5.  Unlike np.quantile on numpy 2.x, it does not import numpy.ma."""
+    x = np.sort(x)
+    virtual = (x.size - 1) * np.asarray(levels, dtype=float)
+    below = np.floor(virtual).astype(np.intp)
+    a, b = x[np.minimum(below, x.size - 1)], x[np.minimum(below + 1, x.size - 1)]
+    t, diff = virtual - below, b - a
+    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+
+
 def monte_carlo_jitter(config: GenerationConfig, model: ErrorModel) -> JitterReport:
     """Propagate interaction-time jitter through the generation pipeline.
 
@@ -537,7 +573,9 @@ def monte_carlo_jitter(config: GenerationConfig, model: ErrorModel) -> JitterRep
     as rng.normal(0.0, jitter) would.  All samples go through
     generation_batch at once and the summary is reduced in sample order, so
     reports are deterministic for a fixed model.  Fidelity quantiles are
-    reported at 5, 25, 50, 75 and 95 percent over the detected samples.
+    reported at 5, 25, 50, 75 and 95 percent over the detected samples, by
+    numpy's 'linear' rule (np.quantile's default) taken from one sort, bit
+    for bit.
     """
     z, rolls = _keyed_draws(model.seed, model.samples)
     eps = 0.0 + model.rel_timing_jitter * z  # loc + scale * z, as rng.normal; 0.0 + clears -0.0
@@ -558,7 +596,7 @@ def monte_carlo_jitter(config: GenerationConfig, model: ErrorModel) -> JitterRep
     if kept_f.size:
         levels = (0.05, 0.25, 0.5, 0.75, 0.95)
         quantiles = {
-            f"{q:g}": float(v) for q, v in zip(levels, np.quantile(kept_f, levels))
+            f"{q:g}": float(v) for q, v in zip(levels, _quantiles(kept_f, levels))
         }
         if kept_f.min() == kept_f.max():
             # degenerate distribution (e.g. zero jitter): spread is exactly 0,

@@ -403,6 +403,19 @@ def test_error_sweep_rejects_repeated_jitter(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_error_sweep_names_the_flag_of_a_malformed_jitter(tmp_path, capsys):
+    # a part that is no number is named by its flag, in one line; ranges keep their messages
+    for jitters in ("1e-2,abc", "abc", "1e-2;1e-3"):
+        out = tmp_path / "run"
+        assert main(["error-sweep", "--p", "0.5", "--jitter", jitters, "--samples", "100",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: --jitter expects comma-separated numbers, got {jitters!r}\n")
+        assert not out.exists()
+    assert main(["error-sweep", "--p", "0.5", "--jitter", "1e-2,2", "--samples", "100"]) == 2
+    assert capsys.readouterr() == ("", "error: rel_timing_jitter must be in [0, 1], got 2.0\n")
+
+
 def test_error_sweep_quantiles_are_those_of_the_detected_fidelities(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["error-sweep", "--p", "0.5", "--jitter", "2e-2", "--samples", "200",
@@ -415,6 +428,24 @@ def test_error_sweep_quantiles_are_those_of_the_detected_fidelities(tmp_path, ca
     assert list(row["quantiles"]) == ["0.05", "0.25", "0.5", "0.75", "0.95"]
     for key, value in row["quantiles"].items():
         assert value == np.quantile(kept, float(key))
+
+
+def test_error_sweep_leaves_numpy_ma_unloaded(tmp_path):
+    # numpy 1.x loads numpy.ma with numpy itself; 2.x loads it lazily, as np.quantile did
+    probe = ("import sys; from gbscavity.cli import main; main({}); "
+             "print('numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(gbscavity.__file__).parents[1])}
+    argv = ["error-sweep", "--p", "1.0", "--jitter", "1e-2,1e-3", "--samples", "1000",
+            "--seed", "7", "--out", str(tmp_path / "run")]
+
+    def loaded(code):
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        return proc.stdout.splitlines()[-1] == "True"
+
+    swept = loaded(probe.format(argv))
+    assert (tmp_path / "run" / "manifest.json").exists()
+    assert not swept or loaded("import sys, numpy; print('numpy.ma' in sys.modules)")
 
 
 @pytest.mark.parametrize("efficiency", ["0", "1e-9"])
@@ -600,6 +631,16 @@ def test_feasibility_input_errors(capsys):
     with pytest.raises(SystemExit) as err:
         main(["feasibility", "--tau-at", "1", "--tau-cav", "1", "--g", "1000", "--m2", "99"])
     assert err.value.code == 2
+
+
+def test_feasibility_names_the_flag_of_a_malformed_time(capsys):
+    base = ["feasibility", "--tau-at", "1", "--tau-cav", "1", "--sequence-duration", "1e-3"]
+    for times in ("1e-3,xyz", "1e-3 1e-3"):
+        assert main([*base, "--interaction-times", times]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: --interaction-times expects comma-separated numbers, got {times!r}\n")
+    assert main([*base, "--interaction-times", "1e-3,-1"]) == 2  # parsed, but out of range
+    assert capsys.readouterr() == ("", "error: all lifetimes and durations must be positive\n")
 
 
 def test_feasibility_margin_overflow_is_a_usage_error(tmp_path, capsys):

@@ -108,10 +108,15 @@ def _outcome(call):
 @example(case=(GenerationConfig(p=1.0), np.array([1e-100, GT_FIRST]), np.array([1e-100, 1.0])))
 # points failing in different ways: atom 2 first (its p2 underflows), then atom 1
 @example(case=(GenerationConfig(p=1.0), np.array([GT_FIRST, 0.0]), np.array([1e-200, 5.0])))
+# 0-d inputs, and a 0-d gt1 broadcast against an array gt2
+@example(case=(GenerationConfig(p=0.37, phi1=0.4, omega=0.9, dt_gap=1.0),
+               np.array(1.7960925212716141), np.array(32.264025822494595)))
+@example(case=(GenerationConfig(p=0.3, n_max=3), np.array(GT_FIRST * 1.01),
+               gt_second(5) * np.array([0.9, 1.0, 1.1])))
 def test_batch_matches_scalar_pipeline(case):
     config, gt1, gt2 = case
     expected, errors = [], []
-    for a, b in zip(gt1, gt2):
+    for a, b in np.broadcast(gt1, gt2):
         report, scalar_error = _outcome(lambda: run_generation(config, gt1=a, gt2=b))
         errors.append(scalar_error)
         batch, batch_error = _outcome(lambda: _batch(config, a, b))
@@ -124,11 +129,11 @@ def test_batch_matches_scalar_pipeline(case):
             assert abs(batch[0] - report.p2) <= TOL
             assert abs(batch[1] - report.fidelity_to_target) <= TOL
             expected.append((report.p2, report.fidelity_to_target))
-    if len(expected) == len(gt1):  # no point raises: compare the whole batch
+    if all(e is None for e in errors):  # no point raises: compare the whole batch
         p2, fid = _batch(config, gt1, gt2)
-        assert p2.shape == fid.shape == gt1.shape
-        assert np.max(np.abs(p2 - [e[0] for e in expected])) <= TOL
-        assert np.max(np.abs(fid - [e[1] for e in expected])) <= TOL
+        assert np.shape(p2) == np.shape(fid) == np.broadcast_shapes(gt1.shape, gt2.shape)
+        assert np.max(np.abs(np.ravel(p2) - [e[0] for e in expected])) <= TOL
+        assert np.max(np.abs(np.ravel(fid) - [e[1] for e in expected])) <= TOL
     elif any("Rabi angle" in str(e) for e in errors):  # checked on the whole arrays first
         with pytest.raises(ValueError, match="Rabi angle"):
             _batch(config, gt1, gt2)
@@ -175,6 +180,21 @@ def test_batch_hands_a_post_selection_too_small_to_normalize_to_the_scalar_rule(
     # p2 = 2e-316 is subnormal, so the point goes through run_generation, which refuses it
     with pytest.raises(ValueError, match=r"^atom 2 never exits in \|down>.*2e-316"):
         generation_batch(GenerationConfig(p=1.0), GT_FIRST, np.array([1e-158]))
+
+
+@pytest.mark.parametrize("gt1, gt2", [
+    (GT_FIRST, gt_second(5)),
+    # the squares of these points' terms round differently under the scalar power
+    # (pow) than as products, so 0-d results are squared as array results are
+    (1.7960925212716141, 32.264025822494595),
+    (1.458479916814749, 33.06585146465156),
+])
+def test_a_0d_call_equals_the_one_element_call_bit_for_bit(gt1, gt2):
+    config = GenerationConfig(p=0.37, phi1=0.4, omega=0.9, dt_gap=1.0)
+    for got, want in zip(generation_batch(config, gt1, gt2),
+                         generation_batch(config, np.array([gt1]), np.array([gt2]))):
+        assert np.shape(got) == () and want.shape == (1,)
+        assert np.float64(got).tobytes() == want.tobytes()
 
 
 def test_batch_keeps_the_input_shape():

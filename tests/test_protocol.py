@@ -29,6 +29,7 @@ from gbscavity import (
     run_measurement,
     scan_t2,
 )
+from gbscavity.protocol import _quantiles
 
 # Frozen oracle values for the optimized timing (see test_winner_delta).
 DELTA_STAR = 9.170991080431623e-05
@@ -358,6 +359,34 @@ def test_monte_carlo_is_deterministic():
     assert not a.samples.flags.writeable
     c = monte_carlo_jitter(cfg, ErrorModel(rel_timing_jitter=1e-2, samples=120, seed=322))
     assert not np.array_equal(a.samples.eps_t2, c.samples.eps_t2)
+
+
+@st.composite
+def quantile_inputs(draw):
+    """Finite arrays of 1 to 10 000 values, made from a drawn seed: uniform, at and just
+    below 1.0, or two-decimal ties; or up to 40 hypothesis floats.  With levels in [0, 1]
+    beside the five monte_carlo_jitter reports.  -0.0 is made +0.0: sort and numpy's
+    partition may order equal zeros of either sign differently, and no fidelity is -0.0."""
+    levels = [0.05, 0.25, 0.5, 0.75, 0.95] + draw(st.lists(st.floats(0.0, 1.0), max_size=4))
+    kind = draw(st.sampled_from(["uniform", "near one", "ties", "floats"]))
+    if kind == "floats":
+        x = np.array(draw(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=40)))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        n = draw(st.one_of(st.integers(1, 20), st.integers(1, 10_000)))
+        x = {"uniform": lambda: rng.random(n),
+             "near one": lambda: 1.0 - rng.integers(0, 4, n) * 2.0**-53,
+             "ties": lambda: np.round(rng.random(n), 2)}[kind]()
+    return x + 0.0, levels
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(quantile_inputs())
+@example(case=(np.array([0.5]), [0.05, 0.25, 0.5, 0.75, 0.95]))
+@example(case=(np.array([1.0, 1.0 - 2.0**-53]), [0.0, 0.5, 1.0]))
+def test_quantiles_are_numpys_linear_quantiles_bit_for_bit(case):
+    x, levels = case
+    assert _quantiles(x, levels).tobytes() == np.quantile(x, levels).tobytes()
 
 
 def test_jitter_ordering_against_delta():
