@@ -134,7 +134,7 @@ def _floats(flag, text):
 
 
 def _resolve_config(args):
-    """Generation config and error_model settings: config file, then flags."""
+    """Generation config and error_model settings: type-checked config file values, then flags."""
     data = _read_json(args.config) if args.config else {}
     model = data.get("error_model", {}) if isinstance(data, dict) else None
     for what, section, keys in (("config", data, (*_CONFIG_KEYS, "error_model")),
@@ -145,16 +145,16 @@ def _resolve_config(args):
         if unknown:
             raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
 
-    flags = {k: v for k, v in vars(args).items() if v is not None}
     merged = {k: v for k, v in data.items() if k != "error_model"}
-    merged.update((k, flags[k]) for k in _CONFIG_KEYS if k in flags)
-    model.update((k, flags[k]) for k in _MODEL_KEYS if k in flags)
     # json reads true/false as bool, which Python also counts as an int
     for key, value in (*merged.items(), *model.items()):
         boolean = key == "jitter_t1"
         if isinstance(value, bool) != boolean or not isinstance(value, (int, float)):
             kind = "true or false" if boolean else "a number"
             raise ValueError(f"{key} must be {kind}, got {json.dumps(value)}")
+    flags = {k: v for k, v in vars(args).items() if v is not None}
+    merged.update((k, flags[k]) for k in _CONFIG_KEYS if k in flags)
+    model.update((k, flags[k]) for k in _MODEL_KEYS if k in flags)
     if "p" not in merged:
         raise ValueError("p is required (flag --p or config file)")
     return GenerationConfig(**merged), model
@@ -262,8 +262,6 @@ def cmd_error_sweep(args) -> _Result:
         jitters = _floats("--jitter", args.jitter)
     if not jitters:
         raise ValueError("--jitter lists no values")
-    if args.no_t1_jitter:
-        model_cfg["jitter_t1"] = False
     # ErrorModel checks the values unconverted (4.5 samples, a 400-digit efficiency)
     # and holds the defaults; the report reads both back from the built model.
     models = [ErrorModel(rel_timing_jitter=jit, **model_cfg) for jit in jitters]
@@ -402,7 +400,8 @@ _COMMANDS = {
         ("--samples", dict(type=int, help="Monte Carlo samples (at least 100)")),
         ("--seed", dict(type=int, help="Monte Carlo seed")),
         ("--detector-efficiency", dict(type=float, help="Bernoulli thinning of detected samples")),
-        ("--no-t1-jitter", dict(action="store_true", help="jitter only the second transit")),
+        ("--no-t1-jitter", dict(dest="jitter_t1", action="store_false", default=None,
+                                help="jitter only the second transit")),
     ), ("jitter", "delta_exp", "mean_infidelity", "std_infidelity", "mean_delivered_infidelity",
         "mean_p2", "samples_used")),
     "verify-basis": (cmd_verify_basis, "check the pseudo-angular-momentum eigenbasis", (

@@ -163,28 +163,24 @@ class ErrorModel:
 class JitterReport:
     """Distribution of fidelity and success probability under timing jitter.
 
-    samples is a read-only record array, one record per sample, with the
-    columns index, eps_t1, eps_t2, fidelity, p2 and detected.
+    Every statistic is taken over the detected samples, and is NaN (the
+    quantiles empty) when none is detected.  mean_delivered_infidelity is the
+    mean one-shot miss probability 1 - p2 * fidelity: the conditional
+    fidelity alone cannot register timing jitter at p = 1 (the post-selected
+    state is exactly |2> for any transit time), so the jitter penalty is also
+    quantified on the delivered state, weighting each sample by its
+    post-selection success.  samples is a read-only record array, one record
+    per sample, with the columns index, eps_t1, eps_t2, fidelity, p2 and
+    detected.
     """
 
     mean_fidelity: float
     std_fidelity: float
     mean_p2: float
+    mean_delivered_infidelity: float
     quantiles: dict
     samples_used: int
     samples: np.recarray
-
-    @property
-    def mean_delivered_infidelity(self) -> float:
-        """Mean one-shot miss probability 1 - p2 * fidelity over detected samples.
-
-        The conditional fidelity alone cannot register timing jitter at p = 1
-        (the post-selected state is exactly |2> for any transit time), so the
-        jitter penalty is also quantified on the delivered state, weighting
-        each sample by its post-selection success.
-        """
-        s, d = self.samples, self.samples.detected  # columns, not a copy of the records
-        return float(np.mean(1.0 - s.p2[d] * s.fidelity[d])) if d.any() else float("nan")
 
 
 def _post_field(block: np.ndarray, prob: float) -> FieldState:
@@ -354,12 +350,10 @@ def distinguish_orthogonal(field: FieldState, p: float, phi: float) -> Measureme
     return run_measurement(field, p, phi)
 
 
-def scan_t2(m2_min: int = M2_MIN, m2_max: int = M2_MAX) -> list:
-    """Timing table over the admissible window g*T2 = pi/4 + 2 pi m2."""
-    _check_int("m2_min", m2_min, M2_MIN, M2_MAX)
-    _check_int("m2_max", m2_max, m2_min, M2_MAX)  # an empty range fails here
+def scan_t2() -> list:
+    """Timing table over the admissible g*T2 = pi/4 + 2 pi m2, m2 from M2_MIN to M2_MAX."""
     rows = []
-    for m2 in range(m2_min, m2_max + 1):
+    for m2 in range(M2_MIN, M2_MAX + 1):
         gt2 = gt_second(m2)
         rows.append(TimingResult(m2=m2, gt2=gt2, delta=1.0 - math.sin(math.sqrt(2.0) * gt2)))
     return rows
@@ -369,9 +363,9 @@ def _best_timing(rows) -> TimingResult:  # rows ascend in m2, and min keeps the 
     return min(rows, key=lambda row: row.delta)
 
 
-def optimize_t2(m2_min: int = M2_MIN, m2_max: int = M2_MAX) -> TimingResult:
-    """Best second interaction time: smallest delta, ties to smaller m2."""
-    return _best_timing(scan_t2(m2_min, m2_max))
+def optimize_t2() -> TimingResult:
+    """Best second interaction time of scan_t2: smallest delta, ties to smaller m2."""
+    return _best_timing(scan_t2())
 
 
 def delta_exp(gt2: float, rel_jitter: float) -> float:
@@ -427,15 +421,14 @@ def _keyed_seed_words(seed: int, n: int) -> np.ndarray:
             for dst in range(4):
                 if src != dst:
                     pool[dst] = mix(pool[dst], hashmix(pool[src]))
-        state = []
+        state = np.empty((n, 8), dtype="<u4")
         out_const = _INIT_B
         for k in range(8):  # generate_state cycles over the pool for 8 uint32 words
             value = pool[k % 4] ^ u32(out_const)
             out_const = out_const * _MULT_B & _MASK32
             value = value * u32(out_const)
-            state.append(value ^ (value >> u32(16)))
+            np.bitwise_xor(value, value >> u32(16), out=state[:, k])
     # as numpy does: read each row of 8 uint32 words as 4 little-endian uint64
-    state = np.stack(state, axis=1).astype("<u4", copy=False)
     return state.view("<u8").astype(np.uint64, copy=False)
 
 
@@ -510,9 +503,10 @@ def _pcg_outputs(words, count):
 def _keyed_draws(seed: int, n: int):
     """Read-only standard normals z (n, 2) and rolls (n,): row i is default_rng((seed, i))'s.
 
-    All streams are seeded and advanced three outputs at once, on uint64 columns: two normals
-    on numpy's ziggurat fast path and the roll (o >> 11) * 2**-53.  A row with a normal off
-    that path (about 3%) is drawn by numpy itself, from a PCG64 seeded with its words.
+    Each block of _BLOCK rows is seeded and advanced three outputs at once, on uint64
+    columns: two normals on numpy's ziggurat fast path and the roll (o >> 11) * 2**-53.  Its
+    rows with a normal off that path (about 3%) are then drawn by numpy itself, each from a
+    PCG64 seeded with its words.
     """
     # numpy.random loads lazily on numpy 2.x; keep it out of `import gbscavity`
     from numpy.random import PCG64, Generator
@@ -531,7 +525,6 @@ def _keyed_draws(seed: int, n: int):
     wi, thresholds = _ziggurat_tables()
     words = _keyed_seed_words(seed, n)
     z, rolls = np.empty((n, 2)), np.empty(n)
-    slow = []
     for start in range(0, n, _BLOCK):
         rows, fast = slice(start, start + _BLOCK), True
         *normals, roll = _pcg_outputs(words[rows], 3)
@@ -541,11 +534,10 @@ def _keyed_draws(seed: int, n: int):
             z[rows, k] = np.where(out & _U64(0x100), -x, x)
             fast = fast & (rabs < thresholds[idx])
         rolls[rows] = (roll >> _U64(11)).astype(np.float64) * 2.0**-53
-        slow.extend(start + np.flatnonzero(~fast))
-    for i in slow:
-        rng = Generator(PCG64(SeedWords(words[i])))
-        rng.standard_normal(out=z[i])
-        rolls[i] = rng.random()
+        for i in start + np.flatnonzero(~fast):
+            rng = Generator(PCG64(SeedWords(words[i])))
+            rng.standard_normal(out=z[i])
+            rolls[i] = rng.random()
     z.flags.writeable = rolls.flags.writeable = False
     return z, rolls
 
@@ -566,16 +558,17 @@ def monte_carlo_jitter(config: GenerationConfig, model: ErrorModel) -> JitterRep
     """Propagate interaction-time jitter through the generation pipeline.
 
     Sample i draws from its own RNG stream np.random.default_rng((seed, i)).
-    All streams are seeded and advanced in bulk, bit for bit; the rows off
-    numpy's ziggurat fast path (about 3%) are drawn by numpy per sample.  The
-    draws depend only on (seed, samples), so the last set is kept read-only (24 B
-    per sample) and a sweep's jitters share it, each scaling it bit for bit
-    as rng.normal(0.0, jitter) would.  All samples go through
-    generation_batch at once and the summary is reduced in sample order, so
-    reports are deterministic for a fixed model.  Fidelity quantiles are
-    reported at 5, 25, 50, 75 and 95 percent over the detected samples, by
-    numpy's 'linear' rule (np.quantile's default) taken from one sort, bit
-    for bit.
+    The streams are seeded and advanced in bulk, bit for bit, block by block;
+    a block's rows off numpy's ziggurat fast path (about 3%) are drawn by
+    numpy per sample before the next block.  The draws depend only on (seed,
+    samples), so the last set is kept read-only (24 B per sample) and a
+    sweep's jitters share it, each scaling it bit for bit as
+    rng.normal(0.0, jitter) would.  All samples go through
+    generation_batch at once, and every statistic is reduced in sample order
+    from the detected p2 and fidelity columns, so reports are deterministic
+    for a fixed model.  Fidelity quantiles are reported at 5, 25, 50, 75 and
+    95 percent, by numpy's 'linear' rule (np.quantile's default) taken from
+    one sort, bit for bit.
     """
     z, rolls = _keyed_draws(model.seed, model.samples)
     eps = 0.0 + model.rel_timing_jitter * z  # loc + scale * z, as rng.normal; 0.0 + clears -0.0
@@ -605,13 +598,15 @@ def monte_carlo_jitter(config: GenerationConfig, model: ErrorModel) -> JitterRep
         else:
             mean_f, std_f = float(np.mean(kept_f)), float(np.std(kept_f))
         mean_p2 = float(np.mean(kept_p2))
+        delivered = float(np.mean(1.0 - kept_p2 * kept_f))
     else:
         quantiles = {}
-        mean_f = std_f = mean_p2 = float("nan")
+        mean_f = std_f = mean_p2 = delivered = float("nan")
     return JitterReport(
         mean_fidelity=mean_f,
         std_fidelity=std_f,
         mean_p2=mean_p2,
+        mean_delivered_infidelity=delivered,
         quantiles=quantiles,
         samples_used=int(kept_f.size),
         samples=samples,

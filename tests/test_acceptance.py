@@ -48,7 +48,7 @@ def _random_joint(rng, n_max=N_MAX):
 
 def test_criterion_1_timing_optimum():
     failures = []
-    best = optimize_t2(0, 16)
+    best = optimize_t2()
     if best.m2 != 5:
         failures.append(f"winner m2={best.m2}, expected 5")
     if abs(best.gt2 - 41.0 * math.pi / 4.0) > 1e-12:

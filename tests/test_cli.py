@@ -95,6 +95,10 @@ def test_config_values_have_their_json_types(tmp_path, capsys):
          "jitter_t1 must be true or false, got 0"),
         ("error-sweep", {"p": 0.5, "error_model": {"jitter_t1": "false"}}, ["--no-t1-jitter"],
          'jitter_t1 must be true or false, got "false"'),
+        # a flag that overrides a value does not hide its type
+        ("generate", {"p": "abc"}, ["--p", "0.5"], 'p must be a number, got "abc"'),
+        ("error-sweep", {"p": 0.5, "error_model": {"samples": "many"}}, ["--samples", "100"],
+         'samples must be a number, got "many"'),
     ):
         cfg.write_text(json.dumps(config))
         assert main([command, "--config", str(cfg), *flags]) == 2
@@ -332,14 +336,17 @@ def test_optimize_timing_window_holds_only_times_inside(capsys):
 
 
 def test_optimize_timing_winner_is_optimize_t2_of_its_rows(capsys):
-    # the command picks its winner from the rows it prints, by optimize_t2's rule
+    # the command picks its winner from the rows it prints, by optimize_t2's rule (least
+    # delta, ties to the smaller m2); over the full window it is optimize_t2's own winner
     for lo, hi in [(0, 16), (0, 4), (6, 16), (9, 9), (2, 13)]:
         code, report = run_json(capsys, ["optimize-timing", "--gt-min", repr(gt_second(lo)),
                                          "--gt-max", repr(gt_second(hi))])
         assert code == 0
-        best = optimize_t2(lo, hi)
-        assert report["winner"] == {"m2": best.m2, "gt2": best.gt2, "delta": best.delta}
-        assert min(report["rows"], key=lambda r: (r["delta"], r["m2"]))["m2"] == best.m2
+        best = min(report["rows"], key=lambda r: (r["delta"], r["m2"]))
+        assert report["winner"] == {k: best[k] for k in ("m2", "gt2", "delta")}
+        if (lo, hi) == (0, 16):
+            best = optimize_t2()
+            assert report["winner"] == {"m2": best.m2, "gt2": best.gt2, "delta": best.delta}
 
 
 # -------------------------------------------------------------- error-sweep
@@ -493,6 +500,17 @@ def test_error_sweep_no_t1_jitter(tmp_path, capsys):
     assert np.all(second["eps_t1"] == 0.0)
     assert second["eps_t2"].tobytes() == both["eps_t2"].tobytes()
     assert second_digest != both_digest
+    # the flag merges like every config value: over a file's true it writes what a false does
+    written = []
+    for value, flags in ((True, ["--no-t1-jitter"]), (False, [])):
+        cfg, out = tmp_path / f"cfg_{value}.json", tmp_path / f"cfg_run_{value}"
+        cfg.write_text(json.dumps({"error_model": {"jitter_t1": value}}))
+        assert main([*argv, "--config", str(cfg), *flags, "--out", str(out)]) == 0
+        written.append((capsys.readouterr().out,
+                        {f.name: f.read_bytes() for f in sorted(out.iterdir())}))
+    assert written[0] == written[1]
+    flagged = (tmp_path / "run1" / "mc_samples_j0.01.npy").read_bytes()
+    assert written[0][1]["mc_samples_j0.01.npy"] == flagged
 
 
 def test_error_sweep_sample_floor():

@@ -40,7 +40,7 @@ DELTA_EXP_STAR = 0.2073850624778901
 
 
 def test_winner_is_m2_5():
-    best = optimize_t2(0, 16)
+    best = optimize_t2()
     assert best.m2 == 5
     assert abs(best.gt2 - 41.0 * math.pi / 4.0) < 1e-12
     assert best.gt2 == gt_second(5)
@@ -48,31 +48,19 @@ def test_winner_is_m2_5():
 
 def test_winner_delta():
     # oracle: delta = 1 - sin(sqrt(2) * 41 pi / 4), evaluated independently
-    best = optimize_t2(0, 16)
+    best = optimize_t2()
     assert abs(best.delta - DELTA_STAR) < 1e-15
     assert 5e-5 < best.delta < 1.5e-4
 
 
 def test_scan_rows_satisfy_first_condition():
-    rows = scan_t2(0, 16)
+    rows = scan_t2()
     assert len(rows) == 17
     for m2, row in enumerate(rows):
         assert row.m2 == m2 and row.gt2 == gt_second(m2)
         # every admissible time meets the one-photon condition sin(g T2 + pi/4) = 1
         assert abs(1.0 - math.sin(gt_second(m2) + math.pi / 4.0)) < 1e-12
         assert 0.0 <= row.delta <= 2.0
-
-
-def test_degenerate_and_invalid_ranges():
-    assert optimize_t2(5, 5).m2 == 5
-    with pytest.raises(ValueError):
-        optimize_t2(7, 3)
-    with pytest.raises(ValueError):
-        optimize_t2(0, 17)
-    with pytest.raises(ValueError):
-        optimize_t2(-1, 5)
-    with pytest.raises(ValueError):
-        scan_t2(0.5, 3)  # bounds must be integers
 
 
 # --------------------------------------------------------------- generation

@@ -10,7 +10,7 @@ import pytest
 from gbscavity import (M2_MAX, ErrorModel, FieldState, GBSParams, GenerationConfig, JointState,
                        delta_exp, excitation_operator, feasibility_check, j3_operator,
                        jc_hamiltonian, make_fock, make_gamma, make_gbs, predicted_psi2,
-                       ramsey_decode_matrix, ramsey_prepare, scan_t2)
+                       ramsey_decode_matrix, ramsey_prepare)
 from gbscavity.constants import N_MAX_LIMIT
 
 
@@ -74,8 +74,6 @@ SITES = {
     "predicted_psi2.n_max": (*count(N_MAX_LIMIT), lambda v: predicted_psi2(0.5, 0.0, 0.0, v)),
     "jc_hamiltonian.n_max": (*count(N_MAX_LIMIT), lambda v: jc_hamiltonian(v)),
     "excitation_operator.n_max": (*count(N_MAX_LIMIT), lambda v: excitation_operator(v)),
-    "scan_t2.m2_min": (*count(M2_MAX), lambda v: scan_t2(v, M2_MAX)),
-    "scan_t2.m2_max": (*count(M2_MAX), lambda v: scan_t2(0, v)),
     "ErrorModel.jitter_t1": ("jitter_t1 must be True or False", ("false", 0, None),
                              lambda v: ErrorModel(0.01, jitter_t1=v)),
 }
