@@ -63,10 +63,9 @@ def spin1_triple(p: float, phi: float) -> tuple[FieldState, FieldState, FieldSta
 
 
 def _triple_amps(p: float, phi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The amplitudes of spin1_triple for a checked p and phi; checks 2 phi and 2 (pi + phi)."""
+    """spin1_triple's amplitudes for a checked p and phi; a finite 2 phi bounds 2 (pi + phi)."""
     _require_finite_phases(2, phi)
-    _require_finite_phases(2, partner := math.pi + phi)
-    return _gbs_amps(2, p, phi, 2), _gamma_amps(p, phi, 2), _gbs_amps(2, 1.0 - p, partner, 2)
+    return _gbs_amps(2, p, phi, 2), _gamma_amps(p, phi, 2), _gbs_amps(2, 1.0 - p, math.pi + phi, 2)
 
 
 @dataclass(frozen=True)

@@ -338,6 +338,8 @@ def cmd_feasibility(args) -> _Result:
         raise ValueError("feasibility needs exactly one of --interaction-times or --g")
     if args.dt_gap is not None and (args.g is None or args.sequence_duration is not None):
         raise ValueError("--dt-gap needs --g and no --sequence-duration: it derives the sequence")
+    if args.m2 is not None and args.g is None:
+        raise ValueError("--m2 needs --g: it derives the second transit time")
     if args.interaction_times is not None:
         times = tuple(_floats("--interaction-times", args.interaction_times))
         if args.sequence_duration is None:
@@ -347,7 +349,7 @@ def cmd_feasibility(args) -> _Result:
         # SI derivation from the coupling: nominal transit times of the pipeline.
         if not (math.isfinite(args.g) and args.g > 0.0):
             raise ValueError(f"--g must be positive and finite, got {args.g}")
-        times = (GT_FIRST / args.g, gt_second(args.m2) / args.g)
+        times = (GT_FIRST / args.g, gt_second(5 if args.m2 is None else args.m2) / args.g)
         gap = args.dt_gap or 0.0
         if not (math.isfinite(gap) and gap >= 0.0):
             raise ValueError(f"--dt-gap must be non-negative and finite, got {gap}")
@@ -417,7 +419,7 @@ _COMMANDS = {
         ("--sequence-duration", dict(type=float, help="total protocol duration (s)")),
         ("--g", dict(type=float, help="derive transit times from the coupling (rad/s)")),
         ("--dt-gap", dict(type=float, help="gap between atoms (s)")),
-        ("--m2", dict(type=int, default=5, choices=range(M2_MIN, M2_MAX + 1), metavar="M2",
+        ("--m2", dict(type=int, choices=range(M2_MIN, M2_MAX + 1), metavar="M2",
                       help="timing index for the derived T2")),
     ), None),
 }

@@ -63,6 +63,7 @@ def jc_closed_form(joint: JointState, gt: float) -> JointState:
     excitation number.
     """
     _require_finite_rabi_angles(joint.n_max, gt=gt)
+    _check_truncation(joint.up_amps)
     return JointState(np.concatenate(_jc_blocks(joint.down_amps, joint.up_amps, gt)), joint.n_max)
 
 
@@ -78,8 +79,7 @@ def _rotation(gt: float, d: int, sign: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _jc_blocks(down: np.ndarray, up: np.ndarray, gt: float) -> tuple[np.ndarray, np.ndarray]:
-    """jc_closed_form on the (down, up) amplitude blocks, by one rotation table; new blocks."""
-    _check_truncation(up)
+    """jc_closed_form's rotation of the (down, up) blocks by one table, unchecked; new blocks."""
     d = down.size
     cos, sin = _rotation(gt, d, math.copysign(1.0, gt))
     out_down = cos[:d] * down

@@ -81,7 +81,7 @@ class GenerationConfig:
     def __post_init__(self):
         _check_weight("p", self.p)
         _check_int("m2", self.m2, M2_MIN, M2_MAX)
-        _check_int("n_max", self.n_max, 0, N_MAX_LIMIT)
+        _check_int("n_max", self.n_max, 2, N_MAX_LIMIT)  # holds the two-photon target
         for name in ("phi1", "omega", "dt_gap", "phi_effective"):
             _check_finite(name, getattr(self, name))
         # the largest free-field phase, in floats as free_field_evolve computes it
@@ -221,7 +221,6 @@ def run_generation(config: GenerationConfig, *, gt1: float | None = None,
     post = _post_field(down, p_second)
     if not post.is_normalized():  # p_second is 0, or subnormal with too few digits left
         raise ValueError(f"atom 2 never exits in |down>; cannot condition on p_second={p_second!r}")
-    _check_int("n_max", n_max, 2, N_MAX_LIMIT)
     target = GBSParams(2, config.p, math.pi - config.phi_effective)
     overlap = complex(np.vdot(post.amps, _gbs_amps(2, config.p, target.phi, n_max)))
     return GenerationReport(
@@ -259,8 +258,8 @@ def _accumulate(out, tmp, *terms):
 def generation_batch(config: GenerationConfig, gt1, gt2):
     """run_generation over g*t overrides of any broadcastable shapes, in real arithmetic on
     the columns of _down_terms; returns (p2, fidelity) arrays of the broadcast shape.  Where
-    n_max < 2 or any p2 is below the normal doubles (as at every atom-1 failure), all points
-    go through run_generation in broadcast order: the first failing point's error is raised.
+    any p2 is below the normal doubles (as at every atom-1 failure), all points go through
+    run_generation in broadcast order: the first failing point's error is raised.
     """
     theta1, theta2 = np.asarray(gt1, dtype=float), np.asarray(gt2, dtype=float)
     _require_finite_rabi_angles(config.n_max, gt1=theta1, gt2=theta2)
@@ -278,7 +277,7 @@ def generation_batch(config: GenerationConfig, gt1, gt2):
     p2 += abs(d0) ** 2
     p2 += np.square(_accumulate(acc, tmp, (a.imag, x), (b.imag, y)), out=acc)
     p2 += np.multiply(np.square(z, out=acc), abs(c) ** 2, out=acc)
-    if config.n_max < 2 or np.any(p2 < np.finfo(float).tiny):
+    if np.any(p2 < np.finfo(float).tiny):
         reports = [run_generation(config, gt1=u, gt2=v) for u, v in np.broadcast(theta1, theta2)]
         return tuple(np.reshape([getattr(r, k) for r in reports], p2.shape)[()]
                      for k in ("p2", "fidelity_to_target"))

@@ -10,8 +10,7 @@ import math
 
 import numpy as np
 
-from gbscavity import (AtomState, FieldState, GBSParams, GenerationConfig, JointState,
-                       make_gbs, run_generation)
+from gbscavity import AtomState, FieldState, GBSParams, GenerationConfig, JointState, make_gbs
 from gbscavity.dynamics import _check_truncation
 from gbscavity.protocol import _require_finite_rabi_angles
 
@@ -63,9 +62,6 @@ def generation_batch_reference(config: GenerationConfig, gt1, gt2):
     n_max, root_p = config.n_max, math.sqrt(config.p)
     theta1, theta2 = np.asarray(gt1, dtype=float), np.asarray(gt2, dtype=float)
     _require_finite_rabi_angles(n_max, gt1=theta1, gt2=theta2)
-    if n_max < 2:
-        for a, b in np.broadcast(theta1, theta2):
-            run_generation(config, gt1=a, gt2=b)
     down1 = np.exp(1j * config.phi1) * math.sqrt(1.0 - config.p)
     down2 = np.exp(1j * config.phi_effective) * math.sqrt(1.0 - config.p)
     f1 = -np.sin(theta1) * root_p  # atom 1 leaves (down1, f1) in the field

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from gbscavity import (
 )
 
 GRID = [(0.5, 0.0), (0.3, 1.7), (1.0, 0.0), (0.0, 2.2), (0.85, -0.4)]
+HALF_MAX = sys.float_info.max / 2  # the largest |phi| whose 2*phi is finite
+PAST_HALF_MAX = math.nextafter(HALF_MAX, math.inf)
 
 
 def basis(n):
@@ -115,12 +118,22 @@ def test_triple_amplitudes_are_those_of_make_gbs_and_make_gamma(p, phi):
     (2.0, math.nan, "p must be in [0, 1], got 2.0"),  # p is checked before phi
     (0.5, math.nan, "phi must be finite, got nan"),
     (0.5, 1e308, "2*phi must be finite, got phi=1e+308"),
+    (0.5, PAST_HALF_MAX, "2*phi must be finite, got phi=8.98846567431158e+307"),
+    (0.5, -PAST_HALF_MAX, "2*phi must be finite, got phi=-8.98846567431158e+307"),
 ])
 def test_triple_and_eigenbasis_errors_name_the_first_bad_input(p, phi, message):
     for call in (spin1_triple, verify_eigenbasis):
         with pytest.raises(ValueError) as err:
             call(p, phi)
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize("phi", [HALF_MAX, -HALF_MAX])
+def test_largest_phase_with_a_finite_double_gives_finite_amplitudes(phi):
+    # pi + phi rounds to phi here, so 2*(pi + phi) needs no check of its own
+    assert all(np.isfinite(state.amps).all() for state in spin1_triple(0.5, phi))
+    report = verify_eigenbasis(0.5, phi)
+    assert np.isfinite(report.residuals).all() and np.isfinite(report.eigenvalues).all()
 
 
 def test_perturbed_operator_breaks_verification(nudged_j3):

@@ -115,8 +115,16 @@ def test_config_sections_must_be_objects(tmp_path, capsys):
             assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
-def test_generate_truncation_leak_exit_code():
-    assert main(["generate", "--p", "0.5", "--n-max", "1"]) == 3
+@pytest.mark.parametrize("command", [["generate"], ["error-sweep", "--samples", "100"]],
+                         ids=["generate", "error-sweep"])
+def test_pipeline_truncation_below_the_target_exits_2(command, tmp_path, capsys):
+    # the two-photon target needs n_max >= 2: every p gets one error, before any work
+    for p in ("0", "0.5", "1"):
+        for n_max in ("0", "1"):
+            out = tmp_path / f"p{p}_n{n_max}"
+            assert main([*command, "--p", p, "--n-max", n_max, "--out", str(out)]) == 2
+            assert capsys.readouterr() == ("", "error: n_max must be an integer in [2, 1000]\n")
+            assert not out.exists()
 
 
 # ------------------------------------------------------------------ measure
@@ -617,6 +625,11 @@ def test_feasibility_derived_from_coupling(capsys):
         ])
         assert code == 0
         assert report["inputs"]["sequence_duration"] == times[0] + gap + times[1]
+    code, report = run_json(capsys, [  # --m2 picks the derived second transit
+        "feasibility", "--tau-at", "1", "--tau-cav", "1", "--g", "1000", "--m2", "3",
+    ])
+    assert code == 0
+    assert report["inputs"]["interaction_times"] == [times[0], gt_second(3) / 1000.0]
 
 
 def test_feasibility_input_errors(capsys):
@@ -646,6 +659,11 @@ def test_feasibility_input_errors(capsys):
         assert captured.out == ""
         assert captured.err.splitlines() == [
             "error: --dt-gap needs --g and no --sequence-duration: it derives the sequence"]
+    # --m2 only derives the second transit from --g; with explicit times it would be ignored
+    assert main(["feasibility", "--tau-at", "1e-2", "--tau-cav", "1e-1", "--interaction-times",
+                 "1e-4,3e-4", "--sequence-duration", "5e-4", "--m2", "3"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --m2 needs --g: it derives the second transit time\n")
     with pytest.raises(SystemExit) as err:
         main(["feasibility", "--tau-at", "1", "--tau-cav", "1", "--g", "1000", "--m2", "99"])
     assert err.value.code == 2

@@ -37,13 +37,13 @@ phases = st.floats(-10.0, 10.0)
 
 
 @st.composite
-def configs(draw, n_max=st.integers(0, 8)):
+def configs(draw):
     return GenerationConfig(
         p=draw(probabilities),
         phi1=draw(phases),
         omega=draw(phases),  # with dt_gap = 1, omega is the free phase omega*dt_gap
         dt_gap=1.0,
-        n_max=draw(n_max),
+        n_max=draw(st.integers(2, 8)),
         m2=draw(st.integers(0, 16)),
     )
 
@@ -94,11 +94,6 @@ def _outcome(call):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(jittered())
-@example(case=(GenerationConfig(p=0.5, n_max=1), np.array([GT_FIRST]), np.array([1.0])))
-@example(case=(GenerationConfig(p=0.0, n_max=1), np.array([GT_FIRST]), np.array([1.0])))
-@example(case=(GenerationConfig(p=0.3, n_max=0), np.array([GT_FIRST]), np.array([1.0])))
-@example(case=(GenerationConfig(p=1.0, n_max=0), np.array([GT_FIRST]), np.array([1.0])))
-@example(case=(GenerationConfig(p=1e-20, n_max=0), np.array([GT_FIRST]), np.array([1.0])))
 @example(case=(GenerationConfig(p=0.5), np.array([np.inf]), np.array([1.0])))
 @example(case=(GenerationConfig(p=1.0), np.array([0.0]), np.array([1.0])))
 @example(case=(GenerationConfig(p=1.0), np.array([GT_FIRST]), np.array([0.0])))
@@ -143,16 +138,16 @@ def test_batch_matches_scalar_pipeline(case):
         assert type(batch_error) is type(first) and str(batch_error) == str(first)
 
 
-@pytest.mark.parametrize("n_max", [0, 1, 2, 4])
+@pytest.mark.parametrize("n_max", [2, 4])
 def test_empty_batch_returns_empty_arrays(n_max):
-    # no point, so no point fails: even a truncation too small for the target returns
+    # no point, so no point fails
     p2, fid = generation_batch(GenerationConfig(p=0.5, n_max=n_max), np.array([]), np.array([]))
     for got in (p2, fid):
         assert got.shape == (0,) and got.dtype == np.float64
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(configs(n_max=st.integers(2, 8)))
+@given(configs())
 def test_nominal_times_match_predicted_state(config):
     gt2 = gt_second(config.m2)
     delta = 1.0 - math.sin(math.sqrt(2.0) * gt2)

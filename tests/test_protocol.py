@@ -12,7 +12,6 @@ from gbscavity import (
     GBSParams,
     GenerationConfig,
     GT_PROBE,
-    TruncationLeakError,
     delta_exp,
     distinguish_orthogonal,
     feasibility_check,
@@ -142,8 +141,10 @@ def test_target_phase_tracks_effective_phi():
 
 
 def test_generation_truncation_policies():
-    with pytest.raises(TruncationLeakError):
-        run_generation(GenerationConfig(p=0.5, n_max=1))
+    for n_max in (0, 1):  # the two-photon target needs n_max >= 2, refused at the config
+        with pytest.raises(ValueError) as err:
+            GenerationConfig(p=0.5, n_max=n_max)
+        assert str(err.value) == "n_max must be an integer in [2, 1000]"
     with pytest.raises(ValueError):
         # atom 1 cannot exit in |down> when fully excited and not evolved
         run_generation(GenerationConfig(p=1.0), gt1=0.0)
