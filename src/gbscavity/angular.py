@@ -63,9 +63,12 @@ def spin1_triple(p: float, phi: float) -> tuple[FieldState, FieldState, FieldSta
 
 
 def _triple_amps(p: float, phi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """spin1_triple's amplitudes for a checked p and phi; a finite 2 phi bounds 2 (pi + phi)."""
+    """spin1_triple's amplitudes for a checked p and phi.  The -1 member, the (1-p, pi+phi)
+    binomial, is built exactly as e^(i n (pi + phi)) = (-1)^n e^(i n phi), with no float pi + phi."""
     _require_finite_phases(2, phi)
-    return _gbs_amps(2, p, phi, 2), _gamma_amps(p, phi, 2), _gbs_amps(2, 1.0 - p, math.pi + phi, 2)
+    minus = _gbs_amps(2, 1.0 - p, phi, 2)
+    minus[1] = -minus[1]
+    return _gbs_amps(2, p, phi, 2), _gamma_amps(p, phi, 2), minus
 
 
 @dataclass(frozen=True)

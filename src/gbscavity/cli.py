@@ -31,7 +31,7 @@ from .protocol import (
     GT_FIRST,
     ErrorModel,
     GenerationConfig,
-    _best_timing,
+    TimingResult,
     delta_exp,
     feasibility_check,
     gt_second,
@@ -236,16 +236,12 @@ def cmd_optimize_timing(args) -> _Result:
             f"window [{args.gt_min}, {args.gt_max}] holds no admissible "
             f"g*T2 = pi/4 + 2 pi m2 with m2 in [{M2_MIN}, {M2_MAX}]"
         )
-    lo, hi, winner = rows[0].m2, rows[-1].m2, _best_timing(rows)
+    lo, hi, winner = rows[0].m2, rows[-1].m2, min(rows, key=lambda r: r.delta)  # optimize_t2's rule
 
     digest_obj = {"gt_min": args.gt_min, "gt_max": args.gt_max, "m2_min": lo, "m2_max": hi}
-    row_dicts = [
-        {"m2": r.m2, "gt2": r.gt2, "sin_g_sqrt2_t2": 1.0 - r.delta, "delta": r.delta}
-        for r in rows
-    ]
     json_obj = {  # an infinite bound leaves its side open: strict JSON records it as null
         "window": {k: v if math.isfinite(v) else None for k, v in digest_obj.items()},
-        "rows": row_dicts,
+        "rows": [dict(vars(r)) for r in rows],  # scan_t2's records, field for field
         "winner": {"m2": winner.m2, "gt2": winner.gt2, "delta": winner.delta},
     }
     lines = ["timing scan", f"  {'m2':>3} {'gt2':>12} {'delta':>12}"]
@@ -395,7 +391,7 @@ _COMMANDS = {
     "optimize-timing": (cmd_optimize_timing, "scan the admissible second interaction times", (
         ("--gt-min", dict(type=float, default=0.1, help="shortest admissible g*T")),
         ("--gt-max", dict(type=float, default=gt_second(M2_MAX), help="longest admissible g*T")),
-    ), ("m2", "gt2", "sin_g_sqrt2_t2", "delta")),
+    ), tuple(f.name for f in dataclasses.fields(TimingResult))),
     "error-sweep": (cmd_error_sweep, "Monte Carlo timing-jitter sweep", (
         *_PIPELINE,
         ("--jitter", dict(help="comma-separated relative jitters, e.g. '1e-2,1e-3'")),

@@ -112,6 +112,7 @@ class TimingResult:
 
     m2: int
     gt2: float
+    sin_g_sqrt2_t2: float  # sin(g sqrt(2) T2)
     delta: float  # 1 - sin(g sqrt(2) T2), the two-photon residual
 
 
@@ -357,17 +358,14 @@ def scan_t2() -> list:
     rows = []
     for m2 in range(M2_MIN, M2_MAX + 1):
         gt2 = gt_second(m2)
-        rows.append(TimingResult(m2=m2, gt2=gt2, delta=1.0 - math.sin(math.sqrt(2.0) * gt2)))
+        sine = math.sin(math.sqrt(2.0) * gt2)
+        rows.append(TimingResult(m2=m2, gt2=gt2, sin_g_sqrt2_t2=sine, delta=1.0 - sine))
     return rows
 
 
-def _best_timing(rows) -> TimingResult:  # rows ascend in m2, and min keeps the first tie
-    return min(rows, key=lambda row: row.delta)
-
-
 def optimize_t2() -> TimingResult:
-    """Best second interaction time of scan_t2: smallest delta, ties to smaller m2."""
-    return _best_timing(scan_t2())
+    """Least-delta row of scan_t2; its rows ascend in m2 and min keeps the first tie."""
+    return min(scan_t2(), key=lambda row: row.delta)
 
 
 def delta_exp(gt2: float, rel_jitter: float) -> float:

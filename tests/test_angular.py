@@ -89,7 +89,10 @@ def test_triple_is_orthonormal():
 
 
 def test_verify_eigenbasis_residuals():
-    for p, phi in GRID:
+    # large phases too: the -1 member is built from phi, not from the float pi + phi
+    large = [(p, phi) for p in (0.5, 0.3)
+             for phi in (1e5, -1e5, 1e6, 1e10, 1e15, HALF_MAX, -HALF_MAX)]
+    for p, phi in GRID + large:
         report = verify_eigenbasis(p, phi)
         assert report.max_residual < 1e-12
         assert np.allclose(report.eigenvalues, (1.0, 0.0, -1.0), atol=1e-10)
@@ -110,7 +113,10 @@ def test_triple_amplitudes_are_those_of_make_gbs_and_make_gamma(p, phi):
     plus, zero, minus = spin1_triple(p, phi)
     assert plus.amps.tobytes() == make_gbs(GBSParams(2, p, phi), 2).amps.tobytes()
     assert zero.amps.tobytes() == make_gamma(p, phi, 2).amps.tobytes()
-    assert minus.amps.tobytes() == make_gbs(GBSParams(2, 1.0 - p, math.pi + phi), 2).amps.tobytes()
+    # the (1-p, pi+phi) partner as e^(i n (pi + phi)) = (-1)^n e^(i n phi), with no float pi + phi
+    partner = make_gbs(GBSParams(2, 1.0 - p, phi), 2).amps.copy()
+    partner[1] = -partner[1]
+    assert minus.amps.tobytes() == partner.tobytes()
 
 
 @pytest.mark.parametrize("p, phi, message", [
@@ -130,7 +136,7 @@ def test_triple_and_eigenbasis_errors_name_the_first_bad_input(p, phi, message):
 
 @pytest.mark.parametrize("phi", [HALF_MAX, -HALF_MAX])
 def test_largest_phase_with_a_finite_double_gives_finite_amplitudes(phi):
-    # pi + phi rounds to phi here, so 2*(pi + phi) needs no check of its own
+    # every member's phases are multiples of phi, so a finite 2*phi is the one check
     assert all(np.isfinite(state.amps).all() for state in spin1_triple(0.5, phi))
     report = verify_eigenbasis(0.5, phi)
     assert np.isfinite(report.residuals).all() and np.isfinite(report.eigenvalues).all()

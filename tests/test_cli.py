@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 import gbscavity
-from gbscavity import (GT_FIRST, ErrorModel, GenerationConfig, gt_second, monte_carlo_jitter,
-                       optimize_t2, run_generation)
+from gbscavity import (GT_FIRST, ErrorModel, GenerationConfig, TimingResult, gt_second,
+                       monte_carlo_jitter, optimize_t2, run_generation, scan_t2)
 from gbscavity import cli
 from gbscavity.cli import main
 
@@ -355,6 +356,23 @@ def test_optimize_timing_winner_is_optimize_t2_of_its_rows(capsys):
         if (lo, hi) == (0, 16):
             best = optimize_t2()
             assert report["winner"] == {"m2": best.m2, "gt2": best.gt2, "delta": best.delta}
+
+
+def test_optimize_timing_rows_are_scan_t2_records(tmp_path, capsys):
+    # the printed rows are scan_t2's TimingResult records, field for field, and the CSV
+    # columns are the record's fields; the sine is scan_t2's own, not 1 - delta re-derived
+    columns = ",".join(f.name for f in dataclasses.fields(TimingResult))
+    for lo, hi in [(0, 16), (2, 13)]:
+        out = tmp_path / f"scan_{lo}_{hi}"
+        code, report = run_json(capsys, ["optimize-timing", "--gt-min", repr(gt_second(lo)),
+                                         "--gt-max", repr(gt_second(hi)), "--out", str(out)])
+        assert code == 0
+        assert report["rows"] == [vars(r) for r in scan_t2() if lo <= r.m2 <= hi]
+        csv_lines = (out / "optimize_timing.csv").read_text().splitlines()
+        assert csv_lines[0] == columns
+        assert len(csv_lines) == hi - lo + 2
+        if lo == 0:  # m2 = 1: sin(sqrt(2) g T2) and 1 - (1 - sin) differ in the last bit
+            assert csv_lines[2].split(",")[2] == "-0.54106977448474936"
 
 
 # -------------------------------------------------------------- error-sweep

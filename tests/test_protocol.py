@@ -60,6 +60,9 @@ def test_scan_rows_satisfy_first_condition():
         # every admissible time meets the one-photon condition sin(g T2 + pi/4) = 1
         assert abs(1.0 - math.sin(gt_second(m2) + math.pi / 4.0)) < 1e-12
         assert 0.0 <= row.delta <= 2.0
+        # the row keeps its sine, and delta is 1 minus that very float
+        assert row.sin_g_sqrt2_t2 == math.sin(math.sqrt(2.0) * row.gt2)
+        assert row.delta == 1.0 - row.sin_g_sqrt2_t2
 
 
 # --------------------------------------------------------------- generation

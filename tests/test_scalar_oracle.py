@@ -243,8 +243,9 @@ def _checked_gamma(p: float, phi: float) -> FieldState:
 
 def oracle_eigenbasis(p: float, phi: float) -> EigenbasisReport:
     op = j3_operator(p, phi)  # held to its fresh ladder composition below
+    partner = _checked_binomial(1.0 - p, phi)  # (1-p, pi+phi): e^(i n pi) = (-1)^n, exactly
     triple = (_checked_binomial(p, phi), _checked_gamma(p, phi),
-              _checked_binomial(1.0 - p, math.pi + phi))
+              FieldState([(-1) ** n * a for n, a in enumerate(partner.amps)], 2))
     residuals = tuple(float(np.linalg.norm(op @ v.amps - lam * v.amps))
                       for v, lam in zip(triple, (1.0, 0.0, -1.0)))
     return EigenbasisReport(eigenvalues=tuple(float(x) for x in np.linalg.eigvalsh(op)[::-1]),
