@@ -11,6 +11,7 @@ leak, 4 verification failure.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -454,7 +455,14 @@ def _parser(name=None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes -1.2e-05 after a flag for an option, so join it as --flag=-1.2e-05
+    for i in range(len(argv) - 1, 0, -1):
+        flag, value = argv[i - 1], argv[i]
+        if flag.startswith("--") and flag != "--" and "=" not in flag and value.startswith("-"):
+            with contextlib.suppress(ValueError):  # joined only where float() reads the value
+                float(value)
+                argv[i - 1:i + 1] = [f"{flag}={value}"]
     # The full tree hands all that follows a leading subcommand to that subcommand's parser, so
     # parse with it alone; any other argv (help, --version, a flag first) ends in exit 0 or 2 there.
     name = argv[0] if argv and argv[0] in _COMMANDS else None

@@ -246,16 +246,6 @@ def _down_terms(config: GenerationConfig):
     return ((down2 * down1, -up * (down2 * free), -up * down1, config.p * free), target.conj())
 
 
-def _accumulate(out, tmp, *terms):
-    """Sum terms left to right into out and return it: a (coefficient, column) term adds its
-    product, formed in tmp (the first is formed in out), and a number adds itself."""
-    (k, col), *rest = terms
-    np.multiply(col, k, out=out)
-    for term in rest:
-        out += np.multiply(term[1], term[0], out=tmp) if isinstance(term, tuple) else term
-    return out
-
-
 def generation_batch(config: GenerationConfig, gt1, gt2):
     """run_generation over g*t overrides of any broadcastable shapes, in real arithmetic on
     the columns of _down_terms; returns (p2, fidelity) arrays of the broadcast shape.  Where
@@ -265,31 +255,19 @@ def generation_batch(config: GenerationConfig, gt1, gt2):
     theta1, theta2 = np.asarray(gt1, dtype=float), np.asarray(gt2, dtype=float)
     _require_finite_rabi_angles(config.n_max, gt1=theta1, gt2=theta2)
     (d0, a, b, c), (t0, t1, t2) = _down_terms(config)
-    # trig once per input value, as on the inputs alone; every later step in place, in
-    # buffers of the broadcast shape
-    shape = np.broadcast_shapes(theta1.shape, theta2.shape)
-    sin1, y, w = np.sin(theta1), np.sin(theta2), np.cos(theta2, out=np.empty(theta2.shape))
-    x = np.multiply(sin1, w, out=np.empty(shape))
-    np.sin(np.multiply(theta2, math.sqrt(2.0), out=w), out=w)
-    z = np.multiply(sin1, w, out=np.empty(shape))
-    del sin1, w
-    p2, acc, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
-    np.square(_accumulate(p2, tmp, (a.real, x), (b.real, y)), out=p2)  # D_1 summed, then squared
-    p2 += abs(d0) ** 2
-    p2 += np.square(_accumulate(acc, tmp, (a.imag, x), (b.imag, y)), out=acc)
-    p2 += np.multiply(np.square(z, out=acc), abs(c) ** 2, out=acc)
+    # trig once per input value, on the inputs' own shapes; the columns x, y, z broadcast.
+    # np.square, not ** 2: on a 0-d input the columns are numpy scalars, whose ** is C pow
+    sin1, y = np.sin(theta1), np.sin(theta2)
+    x, z = sin1 * np.cos(theta2), sin1 * np.sin(theta2 * math.sqrt(2.0))
+    p2 = (np.square(x * a.real + y * b.real) + abs(d0) ** 2
+          + np.square(x * a.imag + y * b.imag) + np.square(z) * abs(c) ** 2)
     if np.any(p2 < np.finfo(float).tiny):
         reports = [run_generation(config, gt1=u, gt2=v) for u, v in np.broadcast(theta1, theta2)]
         return tuple(np.reshape([getattr(r, k) for r in reports], p2.shape)[()]
                      for k in ("p2", "fidelity_to_target"))
-    re = _accumulate(acc, tmp, ((t1 * a).real, x), (t0 * d0).real, ((t1 * b).real, y),
-                     ((t2 * c).real, z))  # <t|D>
-    im = _accumulate(x, tmp, ((t1 * a).imag, x), (t0 * d0).imag, ((t1 * b).imag, y),
-                     ((t2 * c).imag, z))  # x is read last by its own first product
-    np.square(re, out=re)
-    re += np.square(im, out=im)
-    re /= p2
-    return p2[()], np.minimum(re, 1.0, out=re)[()]
+    re = x * (t1 * a).real + (t0 * d0).real + y * (t1 * b).real + z * (t2 * c).real  # <t|D>
+    im = x * (t1 * a).imag + (t0 * d0).imag + y * (t1 * b).imag + z * (t2 * c).imag
+    return p2[()], np.minimum((np.square(re) + np.square(im)) / p2, 1.0)[()]
 
 
 def predicted_psi2(p: float, phi_eff: float, delta: float, n_max: int = 2) -> FieldState:

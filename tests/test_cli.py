@@ -197,6 +197,20 @@ def test_measure_input_errors(tmp_path, capsys):
                  "--decode-p", "0.5", "--decode-phi", "0"]) == 2
 
 
+def test_a_negative_exponent_value_after_a_flag_is_its_value(capsys):
+    # argparse alone takes -1.2e-05 for an option and exits 2: "expected one argument"
+    assert main(["measure", "--gbs", "2,0.5,0", "--decode-phi=-1.2e-05"]) == 0
+    joined = capsys.readouterr()
+    assert main(["measure", "--gbs", "2,0.5,0", "--decode-phi", "-1.2e-05"]) == 0
+    assert capsys.readouterr() == joined
+    assert "-1.2e-05" in joined.out
+
+
+def test_a_negative_infinite_value_after_a_flag_is_named(capsys):
+    assert main(["measure", "--gbs", "2,0.5,0", "--decode-phi", "-inf"]) == 2
+    assert capsys.readouterr() == ("", "error: phi must be finite, got -inf\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["generate", "--config"],
     ["measure", "--decode-p", "0.5", "--decode-phi", "0", "--state-file"],
