@@ -233,41 +233,31 @@ def run_generation(config: GenerationConfig, *, gt1: float | None = None,
     )
 
 
-def _down_terms(config: GenerationConfig):
-    """The unnormalized |down> block D that atom 2 leaves, on real columns of theta = g*T:
-    D_0 = d0, D_1 = a sin(theta1) cos(theta2) + b sin(theta2) and
-    D_2 = c sin(theta1) sin(sqrt(2) theta2).  Returns (d0, a, b, c) and the conjugated
-    target amplitudes t on |0>, |1>, |2>: p2 = |D|^2 and p2 * fidelity = |<t|D>|^2.
-    """
-    down1, up = _ramsey_amps(config.p, config.phi1)  # both atoms' |up> amplitude is sqrt(p)
-    down2, _ = _ramsey_amps(config.p, config.phi_effective)
-    free = np.exp(-1j * (config.omega * config.dt_gap))  # |1> over the gap
-    target = _gbs_amps(2, config.p, math.pi - config.phi_effective, 2)
-    return ((down2 * down1, -up * (down2 * free), -up * down1, config.p * free), target.conj())
-
-
 def generation_batch(config: GenerationConfig, gt1, gt2):
-    """run_generation over g*t overrides of any broadcastable shapes, in real arithmetic on
-    the columns of _down_terms; returns (p2, fidelity) arrays of the broadcast shape.  Where
-    any p2 is below the normal doubles (as at every atom-1 failure), all points go through
-    run_generation in broadcast order: the first failing point's error is raised.
+    """run_generation over g*t overrides of any broadcastable shapes; returns (p2, fidelity)
+    arrays of the broadcast shape.  With q = 1 - p, w = sin(theta1) cos(theta2) + sin(theta2)
+    and z = sin(theta1) sin(sqrt(2) theta2) on theta = g*t, atom 2 leaves the |down> block
+    (q, sqrt(p q) w, p z) times the target's phases and one common phase, so p2 = q^2 +
+    p q w^2 + p^2 z^2 and p2 * fidelity = S^2, S = q^2 + sqrt(2) p q w + p^2 z.  Where any
+    p2 is below the normal doubles (p = 1 only), all points go through run_generation in
+    broadcast order: the first failing point's error is raised.
     """
     theta1, theta2 = np.asarray(gt1, dtype=float), np.asarray(gt2, dtype=float)
     _require_finite_rabi_angles(config.n_max, gt1=theta1, gt2=theta2)
-    (d0, a, b, c), (t0, t1, t2) = _down_terms(config)
-    # trig once per input value, on the inputs' own shapes; the columns x, y, z broadcast.
-    # np.square, not ** 2: on a 0-d input the columns are numpy scalars, whose ** is C pow
-    sin1, y = np.sin(theta1), np.sin(theta2)
-    x, z = sin1 * np.cos(theta2), sin1 * np.sin(theta2 * math.sqrt(2.0))
-    p2 = (np.square(x * a.real + y * b.real) + abs(d0) ** 2
-          + np.square(x * a.imag + y * b.imag) + np.square(z) * abs(c) ** 2)
+    p = config.p
+    q = 1.0 - p
+    # trig once per input value, on the inputs' own shapes; w and z broadcast.
+    # np.square, not ** 2: on a 0-d input w and z are numpy scalars, whose ** is C pow
+    sin1 = np.sin(theta1)
+    w = sin1 * np.cos(theta2) + np.sin(theta2)
+    z = sin1 * np.sin(theta2 * math.sqrt(2.0))
+    s = q * q + math.sqrt(2.0) * p * q * w + p * p * z  # <t|D> without its common phase
+    p2 = q * q + p * q * np.square(w) + p * p * np.square(z)
     if np.any(p2 < np.finfo(float).tiny):
         reports = [run_generation(config, gt1=u, gt2=v) for u, v in np.broadcast(theta1, theta2)]
         return tuple(np.reshape([getattr(r, k) for r in reports], p2.shape)[()]
                      for k in ("p2", "fidelity_to_target"))
-    re = x * (t1 * a).real + (t0 * d0).real + y * (t1 * b).real + z * (t2 * c).real  # <t|D>
-    im = x * (t1 * a).imag + (t0 * d0).imag + y * (t1 * b).imag + z * (t2 * c).imag
-    return p2[()], np.minimum((np.square(re) + np.square(im)) / p2, 1.0)[()]
+    return p2[()], np.minimum(np.square(s) / p2, 1.0)[()]
 
 
 def predicted_psi2(p: float, phi_eff: float, delta: float, n_max: int = 2) -> FieldState:
