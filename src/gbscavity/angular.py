@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import (FieldState, _check_finite, _check_weight, _gamma_amps, _gbs_amps, _norm,
-                     _require_finite_phases)
+                     _partner_amps, _require_finite_phases)
 
 __all__ = [
     "EigenbasisReport",
@@ -63,12 +63,9 @@ def spin1_triple(p: float, phi: float) -> tuple[FieldState, FieldState, FieldSta
 
 
 def _triple_amps(p: float, phi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """spin1_triple's amplitudes for a checked p and phi.  The -1 member, the (1-p, pi+phi)
-    binomial, is built exactly as e^(i n (pi + phi)) = (-1)^n e^(i n phi), with no float pi + phi."""
+    """spin1_triple's amplitudes for a checked p and phi; the -1 member is (1-p, pi+phi)."""
     _require_finite_phases(2, phi)
-    minus = _gbs_amps(2, 1.0 - p, phi, 2)
-    minus[1] = -minus[1]
-    return _gbs_amps(2, p, phi, 2), _gamma_amps(p, phi, 2), minus
+    return _gbs_amps(2, p, phi, 2), _gamma_amps(p, phi, 2), _partner_amps(1.0 - p, phi, 2)
 
 
 @dataclass(frozen=True)

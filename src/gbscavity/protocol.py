@@ -24,7 +24,7 @@ from .constants import DEFAULT_N_MAX, M2_MAX, M2_MIN, N_MAX_LIMIT
 from .dynamics import (_decode_entries, _free_phases, _jc_blocks, _ramsey_amps,
                        _require_finite_rabi_angles)
 from .states import (FieldState, GBSParams, JointState, _check_finite, _check_int,
-                     _check_weight, _gbs_amps, _norm, _require_finite_phases)
+                     _check_weight, _norm, _partner_amps, _require_finite_phases)
 
 __all__ = [
     "GT_FIRST",
@@ -82,12 +82,12 @@ class GenerationConfig:
         _check_weight("p", self.p)
         _check_int("m2", self.m2, M2_MIN, M2_MAX)
         _check_int("n_max", self.n_max, 2, N_MAX_LIMIT)  # holds the two-photon target
-        for name in ("phi1", "omega", "dt_gap", "phi_effective"):
+        for name in ("phi1", "omega", "dt_gap"):
             _check_finite(name, getattr(self, name))
         # the largest free-field phase, in floats as free_field_evolve computes it
         _check_finite("the free-field phase n_max*omega*dt_gap",
                       float(self.n_max) * self.omega * self.dt_gap)
-        _require_finite_phases(2, math.pi - self.phi_effective, "(pi - phi_effective)")
+        _require_finite_phases(2, self.phi_effective, "phi_effective")
 
     @property
     def phi_effective(self) -> float:
@@ -223,7 +223,7 @@ def run_generation(config: GenerationConfig, *, gt1: float | None = None,
     if not post.is_normalized():  # p_second is 0, or subnormal with too few digits left
         raise ValueError(f"atom 2 never exits in |down>; cannot condition on p_second={p_second!r}")
     target = GBSParams(2, config.p, math.pi - config.phi_effective)
-    overlap = complex(np.vdot(post.amps, _gbs_amps(2, config.p, target.phi, n_max)))
+    overlap = complex(np.vdot(post.amps, _partner_amps(config.p, -config.phi_effective, n_max)))
     return GenerationReport(
         post_selected_field=post,
         p2=p_first * p_second,
@@ -263,7 +263,7 @@ def generation_batch(config: GenerationConfig, gt1, gt2):
 def predicted_psi2(p: float, phi_eff: float, delta: float, n_max: int = 2) -> FieldState:
     """Analytic post-selected field at two-photon residual delta in [0, 2].
 
-    Amplitudes c_n [p^n (1-p)^(2-n)]^(1/2) e^(i n (pi - phi_eff)) with
+    Amplitudes c_n [p^n (1-p)^(2-n)]^(1/2) (-1)^n e^(-i n phi_eff) with
     (c0, c1, c2) = (1, sqrt(2), 1 - delta), normalized exactly.  At delta = 0
     this is the two-photon binomial state (p, pi - phi_eff).
     """
@@ -273,8 +273,8 @@ def predicted_psi2(p: float, phi_eff: float, delta: float, n_max: int = 2) -> Fi
     if not 0.0 <= delta <= 2.0:
         raise ValueError(f"delta must be in [0, 2], got {delta!r}")
     _check_int("n_max", n_max, 2, N_MAX_LIMIT)
-    _require_finite_phases(2, math.pi - phi_eff, "(pi - phi_eff)")
-    amps = _gbs_amps(2, p, math.pi - phi_eff, n_max)
+    _require_finite_phases(2, phi_eff, "phi_eff")
+    amps = _partner_amps(p, -phi_eff, n_max)
     amps[2] *= 1.0 - delta
     norm = _norm(amps)
     if norm == 0.0:

@@ -200,6 +200,14 @@ def _gbs_amps(N: int, p: float, phi: float, n_max: int) -> np.ndarray:
     return amps
 
 
+def _partner_amps(p: float, phi: float, n_max: int) -> np.ndarray:
+    """The two-photon binomial (p, pi + phi), built exactly as e^(i n (pi + phi)) =
+    (-1)^n e^(i n phi), with no float pi + phi; from inputs the caller has checked."""
+    amps = _gbs_amps(2, p, phi, n_max)
+    amps[1] = -amps[1]
+    return amps
+
+
 def make_gamma(p: float, phi: float, n_max: int) -> FieldState:
     """Third orthonormal completion of the two-photon binomial pair (p, phi).
 

@@ -76,7 +76,9 @@ def generation_batch_reference(config: GenerationConfig, gt1, gt2):
         -np.sin(theta2 * math.sqrt(2.0)) * (root_p * f1),
     ))
     p_second = np.sum(np.abs(d) ** 2, axis=0)
-    target = make_gbs(GBSParams(2, config.p, math.pi - config.phi_effective), n_max).amps
+    # the (p, pi - phi_eff) target as (-1)^n e^(-i n phi_eff), with no float pi - phi_eff
+    target = make_gbs(GBSParams(2, config.p, -config.phi_effective), n_max).amps
+    target = target * (-1.0) ** np.arange(n_max + 1)
     if np.any(p_second <= 0.0):
         raise ValueError("atom 2 never exits in |down>; cannot condition")
     p2 = p_first * p_second

@@ -195,10 +195,10 @@ def test_config_validation():
 @example(p=1.0, phi=0.0, delta=1.0, n_max=2)
 def test_predicted_collapses_to_binomial_at_zero_delta(p, phi, delta, n_max):
     # the documented formula, written out here: (1, sqrt(2), 1 - delta) times
-    # sqrt(p^n (1-p)^(2-n)) e^(i n (pi - phi)), normalized; at delta = 0 the binomial state
+    # sqrt(p^n (1-p)^(2-n)) (-1)^n e^(-i n phi), normalized; at delta = 0 the binomial state
     n = np.arange(3)
     want = (np.array([1.0, math.sqrt(2.0), 1.0 - delta]) * np.sqrt(p**n * (1.0 - p) ** (2 - n))
-            * np.exp(1j * n * (math.pi - phi)))
+            * (-1) ** n * np.exp(-1j * n * phi))
     norm = np.linalg.norm(want)
     if norm == 0.0:  # p = 1 and delta = 1: only |2> is weighted, and 1 - delta kills it
         with pytest.raises(ValueError, match="vanishes"):
@@ -208,8 +208,8 @@ def test_predicted_collapses_to_binomial_at_zero_delta(p, phi, delta, n_max):
     assert predicted.n_max == n_max and not np.any(predicted.amps[3:])
     assert np.max(np.abs(predicted.amps[:3] - want / norm)) <= 1e-15
     if delta == 0.0:
-        target = make_gbs(GBSParams(2, p, math.pi - phi), n_max)
-        assert np.max(np.abs(predicted.amps - target.amps)) <= 1e-15
+        target = make_gbs(GBSParams(2, p, -phi), n_max).amps * (-1.0) ** np.arange(n_max + 1)
+        assert np.max(np.abs(predicted.amps - target)) <= 1e-15  # (p, pi - phi), exactly
 
 
 def test_predicted_top_heavy_limit():

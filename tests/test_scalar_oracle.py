@@ -80,10 +80,13 @@ def oracle_generation(config, gt1=None, gt2=None) -> GenerationReport:
     field, p_second = project_atom(joint, "down")
     post = _normalized(field, p_second)
     target = GBSParams(2, config.p, math.pi - config.phi_effective)
+    # scored as (p, -phi_eff) times e^(i n pi) = (-1)^n, exactly: no float pi - phi_eff
+    partner = make_gbs(GBSParams(2, config.p, -config.phi_effective), n_max)
+    partner = FieldState([(-1) ** n * a for n, a in enumerate(partner.amps)], n_max)
     return GenerationReport(
         post_selected_field=post,
         p2=p_first * p_second,
-        fidelity_to_target=fidelity(post, make_gbs(target, n_max)),
+        fidelity_to_target=fidelity(post, partner),
         target=target,
         joint_before_projection=joint,
     )

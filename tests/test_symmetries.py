@@ -62,9 +62,16 @@ def test_batch_statistics_are_bit_identical_at_any_phase(case):
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(phased(10.0))
+@example(case=(GenerationConfig(p=0.3, phi1=1e10), GenerationConfig(p=0.3),
+               np.array([GT_FIRST]), np.array([[gt_second(5)]])))
+@example(case=(GenerationConfig(p=0.3, phi1=1e14), GenerationConfig(p=0.3),
+               np.array([GT_FIRST]), np.array([[gt_second(5)]])))
+@example(case=(GenerationConfig(p=0.3, phi1=1e15), GenerationConfig(p=0.3),
+               np.array([GT_FIRST]), np.array([[gt_second(5)]])))
 def test_scalar_statistics_do_not_depend_on_the_phases(case):
     # run_generation carries phi1 + omega * dt_gap through complex states, so it agrees
-    # to rounding; at phases far above 10 its float target phase pi - phi_eff drifts
+    # to rounding.  The large-phase examples keep omega = 0: at phi1 = 1e15 the sum
+    # phi1 + omega * dt_gap itself drops omega * dt_gap's low bits
     config, zero_phase, gt1, gt2 = case
     gt1, gt2 = float(gt1[0]), float(gt2[0, 0])
     got = run_generation(config, gt1=gt1, gt2=gt2)
