@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import (FieldState, _check_finite, _check_weight, _gamma_amps, _gbs_amps, _norm,
-                     _partner_amps, _require_finite_phases)
+                     _partner_amps)
 
 __all__ = [
     "EigenbasisReport",
@@ -58,13 +58,12 @@ def j3_operator(p: float, phi: float) -> np.ndarray:
 def spin1_triple(p: float, phi: float) -> tuple[FieldState, FieldState, FieldState]:
     """(plus, zero, minus): eigenstates of j3_operator(p, phi) at eigenvalues +1, 0, -1."""
     _check_weight("p", p)
-    _check_finite("phi", phi)
     return tuple(FieldState._own(amps, 2) for amps in _triple_amps(p, phi))
 
 
 def _triple_amps(p: float, phi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """spin1_triple's amplitudes for a checked p and phi; the -1 member is (1-p, pi+phi)."""
-    _require_finite_phases(2, phi)
+    """spin1_triple's amplitudes for a checked p; the -1 member is (1-p, pi+phi)."""
+    _check_finite("phi", phi, 2)
     return _gbs_amps(2, p, phi, 2), _gamma_amps(p, phi, 2), _partner_amps(1.0 - p, phi, 2)
 
 

@@ -121,7 +121,15 @@ def free_field_evolve(field: FieldState, omega: float, dt: float) -> FieldState:
     On a binomial state this shifts the phase parameter: (N, p, phi) goes to
     (N, p, phi - omega dt).
     """
+    _check_finite("omega", omega)
+    _check_finite("dt", dt)
+    _require_finite_free_phase(field.n_max, omega, dt)
     return FieldState(field.amps * _free_phases(field.n_max, omega, dt), field.n_max)
+
+
+def _require_finite_free_phase(n_max: int, omega: float, dt: float) -> None:
+    """_free_phases' rule for a finite omega and dt: its largest phase, in its floats, is finite."""
+    _check_finite("the free-field phase n_max*omega*dt", float(n_max) * omega * dt)
 
 
 def _free_phases(n_max: int, omega: float, dt: float) -> np.ndarray:

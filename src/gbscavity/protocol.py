@@ -22,9 +22,9 @@ import numpy as np
 
 from .constants import DEFAULT_N_MAX, M2_MAX, M2_MIN, N_MAX_LIMIT
 from .dynamics import (_decode_entries, _free_phases, _jc_blocks, _ramsey_amps,
-                       _require_finite_rabi_angles)
+                       _require_finite_free_phase, _require_finite_rabi_angles)
 from .states import (FieldState, GBSParams, JointState, _check_finite, _check_int,
-                     _check_weight, _norm, _partner_amps, _require_finite_phases)
+                     _check_weight, _norm, _partner_amps)
 
 __all__ = [
     "GT_FIRST",
@@ -84,10 +84,8 @@ class GenerationConfig:
         _check_int("n_max", self.n_max, 2, N_MAX_LIMIT)  # holds the two-photon target
         for name in ("phi1", "omega", "dt_gap"):
             _check_finite(name, getattr(self, name))
-        # the largest free-field phase, in floats as free_field_evolve computes it
-        _check_finite("the free-field phase n_max*omega*dt_gap",
-                      float(self.n_max) * self.omega * self.dt_gap)
-        _require_finite_phases(2, self.phi_effective, "phi_effective")
+        _require_finite_free_phase(self.n_max, self.omega, self.dt_gap)
+        _check_finite("phi_effective", self.phi_effective, 2)
 
     @property
     def phi_effective(self) -> float:
@@ -268,12 +266,11 @@ def predicted_psi2(p: float, phi_eff: float, delta: float, n_max: int = 2) -> Fi
     this is the two-photon binomial state (p, pi - phi_eff).
     """
     _check_weight("p", p)
-    _check_finite("phi_eff", phi_eff)
+    _check_finite("phi_eff", phi_eff, 2)
     _check_finite("delta", delta)
     if not 0.0 <= delta <= 2.0:
         raise ValueError(f"delta must be in [0, 2], got {delta!r}")
     _check_int("n_max", n_max, 2, N_MAX_LIMIT)
-    _require_finite_phases(2, phi_eff, "phi_eff")
     amps = _partner_amps(p, -phi_eff, n_max)
     amps[2] *= 1.0 - delta
     norm = _norm(amps)

@@ -47,11 +47,14 @@ def _check_weight(name, value):
     raise ValueError(f"{name} must be in [0, 1], got {value!r}")
 
 
-def _check_finite(name, value):
-    """A real number a float holds finitely, not a bool; an int beyond the float range fails."""
+def _check_finite(name, value, top=1):
+    """A real number a float holds finitely, not a bool; an int beyond the float range fails.
+    A phase in e^(i n value) for n <= top also needs top * value, as a float, finite."""
     try:
         if not isinstance(value, _BOOLS) and -_FLOAT_MAX <= value <= _FLOAT_MAX:
-            return
+            if top == 1 or abs(top * float(value)) <= _FLOAT_MAX:
+                return
+            raise ValueError(f"{top}*{name} must be finite, got {name}={float(value)!r}")
     except TypeError:  # a str, None or complex has no order; a float pays no type test
         pass
     raise ValueError(f"{name} must be finite, got {value!r}")
@@ -163,14 +166,6 @@ class GBSParams:
         _check_finite("phi", self.phi)
 
 
-def _require_finite_phases(top: int, phi: float, name: str = "phi") -> None:
-    """e^(i n phi) is finite for every n <= top exactly when top * phi is; the error
-    names that multiple and the phase, called name."""
-    phi = float(phi)
-    if not abs(top * phi) <= _FLOAT_MAX:  # as complex(0, n) * phi rounds it
-        raise ValueError(f"{top}*{name} must be finite, got {name}={phi!r}")
-
-
 def make_fock(n: int, n_max: int) -> FieldState:
     """Photon-number eigenstate |n> on a space truncated at n_max."""
     _check_int("n_max", n_max, 0, N_MAX_LIMIT)
@@ -187,7 +182,7 @@ def make_gbs(params: GBSParams, n_max: int) -> FieldState:
     n <= N and zero above.  Normalized by the binomial theorem.
     """
     _check_int("n_max", n_max, params.N, N_MAX_LIMIT)  # n_max >= N holds the state
-    _require_finite_phases(params.N, params.phi)
+    _check_finite("phi", params.phi, params.N)
     return FieldState._own(_gbs_amps(params.N, params.p, params.phi, n_max), n_max)
 
 
@@ -215,9 +210,8 @@ def make_gamma(p: float, phi: float, n_max: int) -> FieldState:
     Orthogonal to both the (p, phi) and the (1-p, pi+phi) two-photon states.
     """
     _check_weight("p", p)
-    _check_finite("phi", phi)
+    _check_finite("phi", phi, 2)
     _check_int("n_max", n_max, 2, N_MAX_LIMIT)
-    _require_finite_phases(2, phi)
     return FieldState._own(_gamma_amps(p, phi, n_max), n_max)
 
 

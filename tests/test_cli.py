@@ -853,14 +853,29 @@ def test_cached_help_matches_a_fresh_parser(monkeypatch, capsys):
     assert helps["80"][0] != helps["200"][0]  # the width reaches the text
 
 
-def test_closed_stdout_pipe_is_quiet():
+def _run_on_closed_pipe(argv):
+    """(exit code, stderr) of a fresh `python -m gbscavity.cli` whose stdout is a pipe
+    with no reader, so that its first write fails."""
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader is gone before anything is written
     env = {**os.environ, "PYTHONPATH": str(Path(gbscavity.__file__).parents[1])}
     try:
-        proc = subprocess.run([sys.executable, "-m", "gbscavity.cli", "optimize-timing"],
+        proc = subprocess.run([sys.executable, "-m", "gbscavity.cli", *argv],
                               stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
     finally:
         os.close(write_end)
-    assert proc.returncode == 0
-    assert proc.stderr == b""
+    return proc.returncode, proc.stderr
+
+
+def test_closed_stdout_pipe_is_quiet():
+    assert _run_on_closed_pipe(["optimize-timing"]) == (0, b"")
+
+
+def test_closed_stdout_pipe_still_writes_the_out_files(tmp_path, capsys):
+    out = tmp_path / "scan"
+    argv = ["optimize-timing", "--format", "csv"]
+    assert _run_on_closed_pipe([*argv, "--out", str(out)]) == (0, b"")
+    names = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert sorted(p.name for p in out.iterdir()) == sorted([*names, "manifest.json"])
+    assert main(argv) == 0  # what the pipe would have read
+    assert (out / "optimize_timing.csv").read_text() == capsys.readouterr().out

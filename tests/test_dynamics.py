@@ -273,6 +273,15 @@ def test_free_evolution_period():
     assert np.max(np.abs(evolved.amps - state.amps)) < 1e-12
 
 
+@pytest.mark.parametrize("omega, dt", [(1e308, 10.0), (1e300, 1e10)])
+def test_free_evolution_rejects_a_phase_that_overflows_by_name(omega, dt):
+    # omega and dt are finite, but n_max*omega*dt is not, though at 1e300 n_max*omega is:
+    # one ValueError, no numpy warning
+    message = "the free-field phase n_max*omega*dt must be finite, got inf"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        free_field_evolve(make_gbs(GBSParams(2, 0.7, 0.3), N_MAX), omega, dt)
+
+
 # ------------------------------------------------------------- Ramsey zones
 
 

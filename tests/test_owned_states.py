@@ -130,7 +130,14 @@ def test_state_builders_pass_the_checked_constructor(N, p, phi, spare):
     (lambda: run_generation(GenerationConfig(p=0.5, phi1=1e308)),
      "2*phi_effective must be finite, got phi_effective=1e+308"),
     (lambda: predicted_psi2(0.5, -1e308, 0.0), "2*phi_eff must be finite, got phi_eff=-1e+308"),
-], ids=["gbs", "gbs-N3", "gamma", "triple", "generation-target", "predicted"])
+    # a numpy scalar is doubled as a float, without numpy's overflow warning
+    (lambda: make_gbs(GBSParams(2, 0.5, np.float64(1e308)), 2),
+     "2*phi must be finite, got phi=1e+308"),
+    # 2*phi_effective = 1e308 is finite, but the free flight's 4*omega*dt_gap is not
+    (lambda: run_generation(GenerationConfig(p=0.5, omega=1e308, dt_gap=0.5)),
+     "the free-field phase n_max*omega*dt must be finite, got inf"),
+], ids=["gbs", "gbs-N3", "gamma", "triple", "generation-target", "predicted", "gbs-float64",
+        "generation-free-field"])
 def test_a_phase_that_overflows_is_a_value_error_not_a_numpy_warning(build, message):
     # N * phi overflows although phi is finite: e^(i N phi) has no value.  The error
     # names the multiple and the phase, not the state it would have built

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from gbscavity import (M2_MAX, ErrorModel, FieldState, GBSParams, GenerationConfig, JointState,
-                       delta_exp, excitation_operator, feasibility_check, j3_operator,
-                       jc_hamiltonian, make_fock, make_gamma, make_gbs, predicted_psi2,
-                       ramsey_decode_matrix, ramsey_prepare)
+                       delta_exp, excitation_operator, feasibility_check, free_field_evolve,
+                       j3_operator, jc_hamiltonian, make_fock, make_gamma, make_gbs,
+                       predicted_psi2, ramsey_decode_matrix, ramsey_prepare)
 from gbscavity.constants import N_MAX_LIMIT
 
 
@@ -49,6 +49,8 @@ SITES = {
     "ramsey_prepare.phi_k": (*PHASE, lambda v: ramsey_prepare(0.5, v)),
     "make_gamma.phi": (*PHASE, lambda v: make_gamma(0.5, v, 2)),
     "predicted_psi2.phi_eff": (*PHASE, lambda v: predicted_psi2(0.5, v, 0.0)),
+    "free_field_evolve.omega": (*PHASE, lambda v: free_field_evolve(make_fock(0, 2), v, 1.0)),
+    "free_field_evolve.dt": (*PHASE, lambda v: free_field_evolve(make_fock(0, 2), 1.0, v)),
     # delta = 1 - sin(.) lies in [0, 2]
     "predicted_psi2.delta": ("delta must be", (*PHASE[1], math.nan, -0.1, 2.1, 1e200),
                              lambda v: predicted_psi2(0.5, 0.0, v)),
